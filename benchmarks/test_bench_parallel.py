@@ -75,7 +75,7 @@ def test_bench_pipeline_parallel(benchmark, small_bench_inputs):
     inputs = _cold_inputs(small_bench_inputs)
     pipeline = StateOwnershipPipeline(
         inputs,
-        parallel=ParallelConfig(jobs=_PARALLEL_JOBS, backend="process"),
+        parallel=ParallelConfig(jobs=_PARALLEL_JOBS),
     )
     metrics = get_metrics()
     spawns = metrics.counter("parallel.pool_spawns")

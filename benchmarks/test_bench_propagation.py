@@ -1,12 +1,11 @@
-"""Micro-benchmark: the flat-array propagation kernel vs the tree oracles.
+"""Micro-benchmark: the flat-array propagation kernel vs the oracle.
 
-This is the PR 10 tentpole's scoreboard.  On one world it times, over the
-exact origin set CTI scoring walks:
+On one world it times, over the exact origin set CTI scoring walks:
 
 * the :class:`~repro.net.propagation.PropagationKernel` (CSR-native BFS,
   preallocated buffers reused across origins) over every origin;
-* the retained ``_reference_propagate_routes`` object/dict tree builder
-  over a bounded origin sample, yielding a measured ``oracle_speedup_x``;
+* the per-edge oracle ``reference_propagate`` (``tests/oracles/``) over a
+  bounded origin sample, yielding a measured ``oracle_speedup_x``;
 * CTI scoring on top of the kernel, serially and through a 2-job process
   context — asserted **byte-identical** (same repr, not approximately
   equal) before any number is recorded.
@@ -30,10 +29,11 @@ from repro.config import WorldConfig
 from repro.core import PipelineInputs
 from repro.cti.metric import CTIComputer
 from repro.io.tables import render_table
-from repro.net.bgp import _reference_propagate_routes
 from repro.net.monitors import RouteCollector
 from repro.net.propagation import PropagationKernel
 from repro.parallel import ExecutionContext
+
+from tests.oracles.propagation import reference_propagate
 
 #: Upper bound on oracle-timed origins; the oracle is the slow side, the
 #: sample keeps reduced-scale CI passes fast while staying representative.
@@ -79,7 +79,7 @@ def test_bench_propagation_kernel(benchmark):
         kernel_sample_s = time.perf_counter() - started
 
         started = time.perf_counter()
-        oracle_trees = [_reference_propagate_routes(graph, origin) for origin in sample]
+        oracle_trees = [reference_propagate(graph, origin) for origin in sample]
         oracle_sample_s = time.perf_counter() - started
         timings["oracle_speedup_x"] = (
             oracle_sample_s / kernel_sample_s if kernel_sample_s else float("inf")
@@ -98,7 +98,7 @@ def test_bench_propagation_kernel(benchmark):
             inputs.prefix2as, inputs.geolocation, RouteCollector(graph, monitors)
         )
         started = time.perf_counter()
-        with ExecutionContext(jobs=2, backend="process") as context:
+        with ExecutionContext(jobs=2) as context:
             parallel_cti.score_countries(eligible, context=context)
         timings["cti_parallel_s"] = time.perf_counter() - started
 

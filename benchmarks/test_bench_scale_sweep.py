@@ -50,7 +50,7 @@ def test_bench_scale_sweep(benchmark, scale):
 
     def build_and_score():
         timings = {}
-        with ExecutionContext(jobs=_JOBS, backend="process") as context:
+        with ExecutionContext(jobs=_JOBS) as context:
             started = time.perf_counter()
             world = WorldGenerator(
                 WorldConfig(seed=BENCH_SEED, scale=scale), context=context

@@ -76,7 +76,7 @@ def test_bench_worldgen_parallel(benchmark):
     ships = metrics.counter("parallel.state_ships")
 
     def build():
-        with ExecutionContext(jobs=_PARALLEL_JOBS, backend="process") as context:
+        with ExecutionContext(jobs=_PARALLEL_JOBS) as context:
             return WorldGenerator(_config(), context=context).generate()
 
     world = benchmark.pedantic(build, rounds=1, iterations=1)

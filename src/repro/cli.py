@@ -34,7 +34,6 @@ from repro.core import (
     validate_against_world,
 )
 from repro.parallel import (
-    BACKENDS,
     ExecutionContext,
     ResultCache,
     resolve_cache_dir,
@@ -91,16 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="abort on the first source failure instead of " "degrading the run",
         )
 
-    def add_routing_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--routing",
-            choices=("static", "policy"),
-            default=None,
-            help="route-propagation engine: 'static' Gao-Rexford "
-            "trees (the oracle) or the 'policy' engine "
-            "(default: $REPRO_ROUTING or static)",
-        )
-
     def add_parallel_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--jobs",
@@ -108,14 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             metavar="N",
-            help="worker count (0 = all cores; default: " "$REPRO_JOBS or 1)",
-        )
-        p.add_argument(
-            "--backend",
-            choices=BACKENDS,
-            default=None,
-            help="execution backend (default: $REPRO_BACKEND, or "
-            "'process' when --jobs > 1)",
+            help="worker count: 1 runs serially, more on a process pool "
+            "(0 = all cores; default: $REPRO_JOBS or 1)",
         )
         p.add_argument(
             "--no-cache",
@@ -132,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the pipeline and export the dataset")
     add_world_args(p_run)
     add_obs_args(p_run)
-    add_routing_args(p_run)
     add_parallel_args(p_run)
     add_resilience_args(p_run)
     p_run.add_argument("--json", metavar="PATH", help="write dataset JSON")
@@ -148,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_world_args(p_report)
     add_obs_args(p_report)
-    add_routing_args(p_report)
     add_parallel_args(p_report)
     add_resilience_args(p_report)
 
@@ -157,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_world_args(p_validate)
     add_obs_args(p_validate)
-    add_routing_args(p_validate)
     add_parallel_args(p_validate)
     add_resilience_args(p_validate)
 
@@ -332,20 +312,9 @@ def _make_world(
 
     Delegates to :func:`repro.world.worldcache.load_or_generate`, the
     shared load-or-generate path also used by the test fixtures and CI.
-    A ``--routing policy`` request additionally installs a neutral
-    routing policy, forcing every path lookup through the policy engine
-    (path-identical to the static oracle, by the equivalence suite).
     """
     config = WorldConfig(seed=args.seed, scale=args.scale)
-    world = load_or_generate(config, cache=cache, context=context)
-    routing = getattr(args, "routing", None) or os.environ.get(
-        "REPRO_ROUTING", "static"
-    )
-    if routing == "policy":
-        from repro.net.routing import RoutingPolicy
-
-        world.set_routing_policy(RoutingPolicy.build())
-    return world
+    return load_or_generate(config, cache=cache, context=context)
 
 
 def _run_pipeline(
@@ -445,15 +414,11 @@ def _make_resilience_config(args: argparse.Namespace) -> ResilienceConfig:
 
 
 def _make_parallel_config(args: argparse.Namespace) -> ParallelConfig:
-    """Resolve --jobs/--backend/--no-cache plus REPRO_* env fallbacks."""
-    context = ExecutionContext.resolve(
-        jobs=getattr(args, "jobs", None),
-        backend=getattr(args, "backend", None),
-    )
+    """Resolve --jobs/--no-cache plus REPRO_* env fallbacks."""
+    context = ExecutionContext.resolve(jobs=getattr(args, "jobs", None))
     cache_dir = None if getattr(args, "no_cache", False) else resolve_cache_dir()
     return ParallelConfig(
         jobs=context.jobs,
-        backend=context.backend,
         cache_dir=str(cache_dir) if cache_dir is not None else None,
     )
 
@@ -507,7 +472,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         cache = ResultCache(parallel.cache_dir) if parallel.cache_dir else None
         # One execution context (and therefore one worker pool) serves the
         # whole invocation: world generation and all pipeline stages.
-        with ExecutionContext(jobs=parallel.jobs, backend=parallel.backend) as context:
+        with ExecutionContext(jobs=parallel.jobs) as context:
             world = _make_world(args, cache=cache, context=context)
             try:
                 inputs, result = _run_pipeline(world, parallel, resilience, context)
@@ -676,7 +641,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         cache = ResultCache(parallel.cache_dir) if parallel.cache_dir else None
-        with ExecutionContext(jobs=parallel.jobs, backend=parallel.backend) as context:
+        with ExecutionContext(jobs=parallel.jobs) as context:
             world = _make_world(args, cache=cache, context=context)
             try:
                 report = run_maintenance(
@@ -718,7 +683,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         cache = ResultCache(parallel.cache_dir) if parallel.cache_dir else None
-        with ExecutionContext(jobs=parallel.jobs, backend=parallel.backend) as context:
+        with ExecutionContext(jobs=parallel.jobs) as context:
             world = load_or_generate(
                 WorldConfig(seed=args.seed, scale=args.scale),
                 cache=cache,

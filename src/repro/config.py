@@ -23,10 +23,6 @@ __all__ = [
     "ResilienceConfig",
 ]
 
-#: Execution backends understood by :class:`ParallelConfig` (and by
-#: :class:`repro.parallel.ExecutionContext`, which enforces the same set).
-PARALLEL_BACKENDS: Tuple[str, ...] = ("serial", "thread", "process")
-
 #: Foreign-expansion profiles: owner country -> target countries where its
 #: state-owned conglomerate operates subsidiaries.  Taken from the paper's
 #: Table 3 (the published owner->target mapping), which doubles as the
@@ -338,24 +334,18 @@ class ParallelConfig:
     """Execution knobs of one pipeline run (parallelism + persistent cache).
 
     The defaults are fully serial with no on-disk cache, so library users
-    and tests get the unsurprising behaviour; the CLI resolves ``--jobs`` /
-    ``--backend`` (with ``REPRO_JOBS`` / ``REPRO_BACKEND`` fallbacks) and
-    the cache directory (``REPRO_CACHE_DIR``, default ``~/.cache/repro``)
-    into an explicit instance.  Every backend produces bit-identical
-    pipeline output; only wall time changes.
+    and tests get the unsurprising behaviour; the CLI resolves ``--jobs``
+    (with a ``REPRO_JOBS`` fallback) and the cache directory
+    (``REPRO_CACHE_DIR``, default ``~/.cache/repro``) into an explicit
+    instance.  Serial and process-pool runs produce bit-identical pipeline
+    output; only wall time changes.
     """
 
-    #: Worker count; 1 means serial regardless of backend.
+    #: Worker count; 1 runs serially, more on a process pool.
     jobs: int = 1
-    #: One of ``serial`` / ``thread`` / ``process``.
-    backend: str = "serial"
     #: Root of the persistent result cache; None disables on-disk caching.
     cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise invalid_jobs(self.jobs)
-        if self.backend not in PARALLEL_BACKENDS:
-            raise ConfigError(
-                f"backend must be one of {PARALLEL_BACKENDS}, " f"got {self.backend!r}"
-            )

@@ -22,7 +22,6 @@ corporate parents) exactly the way the authors did by hand:
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -135,7 +134,13 @@ class OwnershipAnalyst:
         self._corpus = corpus
         self._config = config or PipelineConfig()
         self._memo: Dict[str, ConfirmationVerdict] = {}
-        self._local = threading.local()
+        #: Keys currently being investigated (the open recursion chain).
+        self._in_progress: Set[str] = set()
+        #: One footprint collector per in-flight investigation: ``names``
+        #: accumulates every corpus query issued below that frame,
+        #: ``volatile`` is set when a cycle/depth guard fires anywhere
+        #: while the frame is open.
+        self._collectors: List[Dict[str, object]] = []
         #: Companies encountered with minority state stakes (§7 logging).
         self.minority_log: Dict[str, ConfirmationVerdict] = {}
         #: key -> every corpus query string issued while computing its
@@ -155,51 +160,12 @@ class OwnershipAnalyst:
         #: Verdicts adopted from a previous snapshot (provenance counter).
         self.seeded_verdicts = 0
 
-    def __getstate__(self) -> dict:
-        # ``threading.local`` cannot be pickled; process-pool workers get a
-        # fresh (empty) recursion stack, which is exactly right — the
-        # in-progress set tracks one investigation's chain, never state
-        # that should survive a process boundary.
-        state = self.__dict__.copy()
-        del state["_local"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._local = threading.local()
-
-    def _in_progress(self) -> Set[str]:
-        """This thread's set of keys currently being investigated.
-
-        Per-thread, so concurrent investigations on the thread backend do
-        not mistake each other's open chains for cycles (which would turn a
-        resolvable holder into NO_EVIDENCE nondeterministically).
-        """
-        stack = getattr(self._local, "in_progress", None)
-        if stack is None:
-            stack = set()
-            self._local.in_progress = stack
-        return stack
-
-    def _collectors(self) -> List[Dict[str, object]]:
-        """This thread's stack of open footprint collectors.
-
-        One frame per in-flight investigation: ``names`` accumulates every
-        corpus query issued below that frame, ``volatile`` is set when a
-        cycle/depth guard fires anywhere while the frame is open.
-        """
-        stack = getattr(self._local, "collectors", None)
-        if stack is None:
-            stack = []
-            self._local.collectors = stack
-        return stack
-
     def _record_query(self, name: str) -> None:
-        for frame in self._collectors():
+        for frame in self._collectors:
             frame["names"].add(name)  # type: ignore[union-attr]
 
     def _mark_volatile(self) -> None:
-        for frame in self._collectors():
+        for frame in self._collectors:
             frame["volatile"] = True
 
     def investigate(self, company_name: str, depth: int = 0) -> ConfirmationVerdict:
@@ -210,13 +176,12 @@ class OwnershipAnalyst:
             # the hit's recorded footprint (and volatility) wholesale.
             footprint = self._footprints.get(key)
             if footprint:
-                for frame in self._collectors():
+                for frame in self._collectors:
                     frame["names"].update(footprint)  # type: ignore[union-attr]
             if key in self._volatile:
                 self._mark_volatile()
             return self._memo[key]
-        in_progress = self._in_progress()
-        if key in in_progress or depth > _MAX_DEPTH:
+        if key in self._in_progress or depth > _MAX_DEPTH:
             # Cycle or runaway chain: treat as unresolvable evidence.  The
             # guard verdict depends on the call stack, so everything above
             # it in the chain becomes uncarryable.
@@ -225,17 +190,16 @@ class OwnershipAnalyst:
                 company_name=company_name,
                 status=ConfirmationStatus.NO_EVIDENCE,
             )
-        in_progress.add(key)
-        collectors = self._collectors()
+        self._in_progress.add(key)
         frame: Dict[str, object] = {"names": set(), "volatile": False}
-        collectors.append(frame)
+        self._collectors.append(frame)
         try:
             verdict = self._investigate_uncached(company_name, depth)
         finally:
-            in_progress.discard(key)
-            collectors.pop()
+            self._in_progress.discard(key)
+            self._collectors.pop()
         names: Set[str] = frame["names"]  # type: ignore[assignment]
-        for parent in collectors:
+        for parent in self._collectors:
             parent["names"].update(names)  # type: ignore[union-attr]
             if frame["volatile"]:
                 parent["volatile"] = True

@@ -269,9 +269,9 @@ def _investigate_task(state: Dict[str, object], company_name: str) -> Tuple[
 ]:
     """Stage-2 work unit: investigate one company.
 
-    ``state`` carries the analyst: shared by reference on the serial and
-    thread backends (so memoized ownership chains are reused exactly as in
-    the serial loop), shipped once per worker on the process backend.  The
+    ``state`` carries the analyst: shared by reference on the serial
+    backend (so memoized ownership chains are reused exactly as in the
+    serial loop), shipped once per worker on the process backend.  The
     returned minority-log snapshot lets the coordinator merge §7 minority
     findings from worker-local analysts deterministically; the footprint
     delta (per-verdict corpus-query footprints plus volatile keys recorded
@@ -342,9 +342,7 @@ class StateOwnershipPipeline:
         context = self._context
         if context is not None:
             return self._run(context, skip_sources)
-        with ExecutionContext(
-            jobs=self._parallel.jobs, backend=self._parallel.backend
-        ) as context:
+        with ExecutionContext(jobs=self._parallel.jobs) as context:
             return self._run(context, skip_sources)
 
     def _run(

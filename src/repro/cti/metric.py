@@ -34,7 +34,6 @@ address-weight index is built lazily on first use: constructing a
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import AnalysisError
@@ -50,7 +49,7 @@ __all__ = ["CTIComputer"]
 #: Countries scored per shard by :meth:`CTIComputer.score_countries`; the
 #: terms of origins no later shard needs are released between shards, so
 #: peak memory is bounded by the widest shard instead of the whole run.
-_DEFAULT_COUNTRY_SHARD = 16
+_COUNTRY_SHARD = 16
 
 #: One transit contribution: (transit ASN, w(m)/|M|, AS-hop distance).
 TransitTerm = Tuple[int, float, int]
@@ -304,11 +303,10 @@ class CTIComputer:
     ):
         """Yield ``(cc, scores)`` per country, sharded, in input order.
 
-        Splits ``ccs`` into shards of ``shard_size`` (default
-        ``REPRO_CTI_SHARD``, falling back to 16), precomputes each shard's
-        origin terms over ``context``, scores and **yields** the shard's
-        countries one at a time, then releases the terms no remaining
-        shard needs.  Peak term memory is bounded by the widest shard +
+        Splits ``ccs`` into shards of ``shard_size`` (default 16),
+        precomputes each shard's origin terms over ``context``, scores and
+        **yields** the shard's countries one at a time, then releases the
+        terms no remaining shard needs.  Peak term memory is bounded by the widest shard +
         carryover instead of the whole country list, and — because
         per-country scores depend only on that country's column span and
         its origins' terms — the scores are bit-identical to an unsharded
@@ -321,11 +319,7 @@ class CTIComputer:
         accumulating.  Countries already cached are yielded from cache
         (and kept, regardless of ``retain``).
         """
-        if shard_size is None:
-            shard_size = int(
-                os.environ.get("REPRO_CTI_SHARD", str(_DEFAULT_COUNTRY_SHARD))
-            )
-        shard_size = max(1, shard_size)
+        shard_size = max(1, _COUNTRY_SHARD if shard_size is None else shard_size)
         ccs = list(ccs)
         pending = {cc for cc in ccs if cc not in self._cti_cache}
         order = [cc for cc in ccs if cc in pending]

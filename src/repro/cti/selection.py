@@ -46,7 +46,7 @@ def select_cti_candidates(
     ``context`` (an :class:`~repro.parallel.ExecutionContext`) fans the
     per-origin routing-tree work out across workers before the per-country
     scoring replays it — results are bit-identical to the serial path.
-    The fan-out is sharded by country group (``REPRO_CTI_SHARD``): each
+    The fan-out is sharded by country group (16 countries a shard): each
     shard precomputes, scores, and releases the transit terms no later
     shard needs, so term memory stays bounded at internet scale.  Scores
     stream per country (:meth:`~repro.cti.metric.CTIComputer.

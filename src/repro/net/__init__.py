@@ -8,12 +8,9 @@ and customer cones for ASRank.
 from repro.net.asn import ASN, ASNAllocator
 from repro.net.prefix import Prefix, PrefixTrie, summarize_address_counts
 from repro.net.topology import ASGraph, Relationship
-from repro.net.bgp import Route, RoutingTree, propagate_routes
-from repro.net.routing import (
-    NEUTRAL_POLICY,
-    RoutingPolicy,
-    propagate_policy_routes,
-)
+from repro.net.bgp import Route, RoutingTree
+from repro.net.routing import NEUTRAL_POLICY, RoutingPolicy
+from repro.net.propagation import propagate
 from repro.net.monitors import Monitor, MonitorSet, RouteCollector
 
 __all__ = [
@@ -26,10 +23,9 @@ __all__ = [
     "Relationship",
     "Route",
     "RoutingTree",
-    "propagate_routes",
     "RoutingPolicy",
     "NEUTRAL_POLICY",
-    "propagate_policy_routes",
+    "propagate",
     "Monitor",
     "MonitorSet",
     "RouteCollector",

@@ -1,7 +1,7 @@
-"""Gao-Rexford BGP route propagation.
+"""Gao-Rexford BGP routes and routing trees.
 
-For a given origin AS we compute, for every other AS, its *preferred* route
-toward the origin under the standard policy model:
+For a given origin AS, every other AS selects its *preferred* route toward
+the origin under the standard policy model:
 
 * prefer routes learned from customers over peers over providers;
 * among equally-preferred routes, prefer the shortest AS path;
@@ -14,19 +14,18 @@ exported only to customers.
 
 The result is a :class:`RoutingTree` — a compact next-hop table from which
 full AS paths (as observed by the paper's BGP monitors) are reconstructed.
+Trees are computed by :func:`repro.net.propagation.propagate`.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.errors import TopologyError
 from repro.net.topology import ASGraph
 
-__all__ = ["RouteClass", "Route", "RoutingTree", "propagate_routes"]
+__all__ = ["RouteClass", "Route", "RoutingTree"]
 
 
 class RouteClass(enum.IntEnum):
@@ -114,140 +113,3 @@ class RoutingTree:
     def reachable_count(self) -> int:
         """Number of ASes (including the origin) with a route."""
         return sum(1 for d in self._dist if d != _UNREACHED)
-
-
-def propagate_routes(graph: ASGraph, origin: int) -> RoutingTree:
-    """Compute the Gao-Rexford routing tree toward ``origin``.
-
-    Delegates to the flat-array :class:`~repro.net.propagation.
-    PropagationKernel` (CSR adjacency pre-sorted by ASN, bytearray result
-    planes, per-hop frontier buckets), which makes the reference decisions
-    of :func:`_reference_propagate_routes` — same phases, same iteration
-    order, same tie-breaks — without per-visit sorting.  Building the
-    kernel costs one adjacency sort; callers computing trees for many
-    origins over one graph should hold a :class:`RoutingTreeCache`, which
-    reuses a single kernel across origins.
-    """
-    from repro.net.propagation import PropagationKernel
-
-    return PropagationKernel(graph).propagate(origin)
-
-
-def _reference_propagate_routes(graph: ASGraph, origin: int) -> RoutingTree:
-    """The original object/dict propagation, retained as the kernel oracle.
-
-    Runs the classic three-phase breadth-first propagation: customer routes
-    bubble up through providers, then spread one hop across peering edges,
-    then provider routes sink down through customers.  Each phase processes
-    nodes in increasing path length so that the first route installed at a
-    node within a phase is its shortest; ties are broken on lowest next-hop
-    ASN by pre-sorting adjacency in ASN order.  Adjacency rows are sorted
-    once up front (they used to be re-sorted at every visit — pure waste,
-    since sorting is deterministic and the graph is fixed for the call).
-    """
-    if origin not in graph:
-        raise TopologyError(f"origin AS{origin} not in graph")
-
-    n = len(graph)
-    dist = [_UNREACHED] * n
-    route_class = [_UNREACHED] * n
-    next_hop = [-1] * n
-
-    origin_idx = graph.index_of(origin)
-    dist[origin_idx] = 0
-    route_class[origin_idx] = int(RouteClass.ORIGIN)
-
-    # Hoisted adjacency-class resolution: one ASN-order sort per row, not
-    # one per visit.  Identical sort keys, so the output is bit-identical.
-    asn_at = graph.asn_at
-    sorted_providers = [sorted(graph.providers[i], key=asn_at) for i in range(n)]
-    sorted_customers = [sorted(graph.customers[i], key=asn_at) for i in range(n)]
-    sorted_peers = [sorted(graph.peers[i], key=asn_at) for i in range(n)]
-
-    # Phase 1: customer routes climb provider edges (valley-free "uphill").
-    # BFS by hop count; a node adopts the first (shortest, lowest-ASN) offer.
-    frontier = [origin_idx]
-    hop = 0
-    while frontier:
-        hop += 1
-        next_frontier: List[int] = []
-        for node in frontier:
-            for provider in sorted_providers[node]:
-                if dist[provider] == _UNREACHED:
-                    dist[provider] = hop
-                    route_class[provider] = int(RouteClass.CUSTOMER)
-                    next_hop[provider] = node
-                    next_frontier.append(provider)
-        frontier = next_frontier
-
-    # Phase 2: every AS holding a customer (or origin) route exports it to
-    # its peers; peer routes are not re-exported to other peers/providers.
-    # Process exporters in increasing distance for shortest-path selection.
-    exporters = sorted(
-        (
-            i
-            for i in range(n)
-            if route_class[i] in (int(RouteClass.ORIGIN), int(RouteClass.CUSTOMER))
-        ),
-        key=lambda i: (dist[i], graph.asn_at(i)),
-    )
-    peer_updates: List[Tuple[int, int, int]] = []
-    for node in exporters:
-        for peer in sorted_peers[node]:
-            if dist[peer] == _UNREACHED:
-                peer_updates.append((peer, node, dist[node] + 1))
-    for peer, via, d in peer_updates:
-        # A peer may get multiple offers; exporters were pre-sorted so the
-        # first recorded offer is the preferred one.
-        if dist[peer] == _UNREACHED:
-            dist[peer] = d
-            route_class[peer] = int(RouteClass.PEER)
-            next_hop[peer] = via
-
-    # Phase 3: provider routes sink down customer edges ("downhill").
-    # Seed with every routed node, ordered by distance, and BFS downward.
-    queue = deque(
-        sorted(
-            (i for i in range(n) if dist[i] != _UNREACHED),
-            key=lambda i: (dist[i], graph.asn_at(i)),
-        )
-    )
-    while queue:
-        node = queue.popleft()
-        for customer in sorted_customers[node]:
-            if dist[customer] == _UNREACHED:
-                dist[customer] = dist[node] + 1
-                route_class[customer] = int(RouteClass.PROVIDER)
-                next_hop[customer] = node
-                queue.append(customer)
-
-    return RoutingTree(graph, origin, next_hop, dist, route_class)
-
-
-class RoutingTreeCache:
-    """Lazy per-origin cache of routing trees over a fixed graph.
-
-    Owns one :class:`~repro.net.propagation.PropagationKernel` (built on
-    first use) so the CSR image and frontier scratch are shared by every
-    origin routed through this cache.
-    """
-
-    def __init__(self, graph: ASGraph) -> None:
-        self._graph = graph
-        self._trees: Dict[int, RoutingTree] = {}
-        self._kernel = None
-
-    def tree(self, origin: int) -> RoutingTree:
-        """Return (computing if needed) the routing tree toward ``origin``."""
-        tree = self._trees.get(origin)
-        if tree is None:
-            if self._kernel is None:
-                from repro.net.propagation import PropagationKernel
-
-                self._kernel = PropagationKernel(self._graph)
-            tree = self._kernel.propagate(origin)
-            self._trees[origin] = tree
-        return tree
-
-    def __len__(self) -> int:
-        return len(self._trees)

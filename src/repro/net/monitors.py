@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import TopologyError
-from repro.net.bgp import RoutingTreeCache
-from repro.net.routing import PolicyRoutingCache, RoutingPolicy
+from repro.net.bgp import RoutingTree
+from repro.net.propagation import PropagationKernel
+from repro.net.routing import RoutingPolicy
 from repro.net.topology import ASGraph
 
 __all__ = ["Monitor", "MonitorSet", "RouteCollector"]
@@ -110,13 +111,10 @@ class RouteCollector:
 
     Mirrors a RouteViews/RIS collector: for each (monitor, origin) pair it
     reports the AS path the monitor's host AS prefers toward the origin.
-    Routing trees are computed lazily and cached per origin.
-
-    With ``policy=None`` paths come from the static Gao-Rexford trees of
-    :mod:`repro.net.bgp` (the reference oracle).  Passing a
-    :class:`~repro.net.routing.RoutingPolicy` — even a neutral one —
-    switches to the policy engine; a neutral policy yields byte-identical
-    paths, which is what the equivalence suite pins down.
+    Routing trees are computed lazily, one per origin, by a
+    :class:`~repro.net.propagation.PropagationKernel` the collector builds
+    on first use and reuses for every origin.  ``policy`` is an optional
+    :class:`~repro.net.routing.RoutingPolicy`; ``None`` routes neutrally.
     """
 
     def __init__(
@@ -128,16 +126,12 @@ class RouteCollector:
         self._graph = graph
         self.monitors = monitors
         self._policy = policy
-        self._cache = self._fresh_cache()
-
-    def _fresh_cache(self):
-        if self._policy is None:
-            return RoutingTreeCache(self._graph)
-        return PolicyRoutingCache(self._graph, self._policy)
+        self._kernel: Optional[PropagationKernel] = None
+        self._trees: Dict[int, RoutingTree] = {}
 
     @property
     def policy(self) -> Optional[RoutingPolicy]:
-        """The routing policy in force (None = static oracle trees)."""
+        """The routing policy in force (None = neutral)."""
         return self._policy
 
     def __getstate__(self) -> dict:
@@ -157,7 +151,8 @@ class RouteCollector:
         self._graph = state["graph"]
         self.monitors = state["monitors"]
         self._policy = state.get("policy")
-        self._cache = self._fresh_cache()
+        self._kernel = None
+        self._trees = {}
 
     # -- zero-copy shipping (repro.parallel.shm protocol) -------------------
     def __shm_export__(self):
@@ -188,6 +183,14 @@ class RouteCollector:
         policy = None if policy_data is None else RoutingPolicy.from_dict(policy_data)
         return cls(graph, monitors, policy=policy)
 
+    def _tree(self, origin: int) -> RoutingTree:
+        tree = self._trees.get(origin)
+        if tree is None:
+            if self._kernel is None:
+                self._kernel = PropagationKernel(self._graph, self._policy)
+            tree = self._trees[origin] = self._kernel.propagate(origin)
+        return tree
+
     def path(self, monitor: Monitor, origin: int) -> Optional[Tuple[int, ...]]:
         """AS path from the monitor's host AS to ``origin`` (inclusive).
 
@@ -195,12 +198,11 @@ class RouteCollector:
         inside the origin AS itself, the path is the single-element tuple
         ``(origin,)``.
         """
-        tree = self._cache.tree(origin)
-        return tree.path_from(monitor.host_asn)
+        return self._tree(origin).path_from(monitor.host_asn)
 
     def paths_to(self, origin: int) -> Dict[str, Tuple[int, ...]]:
         """Paths from every monitor (by monitor_id) that can reach ``origin``."""
-        tree = self._cache.tree(origin)
+        tree = self._tree(origin)
         result: Dict[str, Tuple[int, ...]] = {}
         for monitor in self.monitors:
             path = tree.path_from(monitor.host_asn)
@@ -210,7 +212,7 @@ class RouteCollector:
 
     def trees_computed(self) -> int:
         """Number of routing trees materialized so far (for diagnostics)."""
-        return len(self._cache)
+        return len(self._trees)
 
     def reset_cache(self) -> None:
         """Drop every materialized routing tree.
@@ -221,4 +223,5 @@ class RouteCollector:
         snapshot would silently grant the cold path the very reuse it is
         supposed to measure the absence of.
         """
-        self._cache = self._fresh_cache()
+        self._kernel = None
+        self._trees = {}

@@ -1,37 +1,37 @@
-"""Flat-array route-propagation kernel (the CTI hot loop).
+"""Flat-array route propagation: the one engine every routing tree comes from.
 
-:func:`repro.net.bgp.propagate_routes` and
-:func:`repro.net.routing.propagate_policy_routes` both walk per-node
-Python adjacency through ``sorted()`` calls *inside* the propagation
-loops: every origin re-sorts every adjacency row it touches and performs
-two full-graph ``sorted(..., key=lambda ...)`` passes (phase-2 exporters,
-phase-3 seeds).  At internet scale (~68k ASes) that constant factor is
-94 % of total wall time — one routing tree per scored origin, thousands
-of origins per run.
+:func:`propagate` computes the Gao-Rexford routing tree toward one origin,
+optionally under a :class:`~repro.net.routing.RoutingPolicy`; callers
+routing many origins over one graph hold a :class:`PropagationKernel`
+(as :class:`~repro.net.monitors.RouteCollector` does) so the per-graph
+work is paid once.  At internet scale (~68k ASes) propagation is the CTI
+hot loop: one routing tree per scored origin, thousands of origins per
+run.
 
-:class:`PropagationKernel` removes it.  Per *graph* (not per origin) it
-builds one CSR image whose rows are pre-sorted by neighbor ASN — the
-exact tie-break order every phase needs — with policy down-edges pruned
-at build time, so the per-origin propagation touches nothing but flat
-``bytearray`` / ``array('i')`` buffers:
+Per *graph* (not per origin) the kernel builds one CSR image whose rows
+are pre-sorted by neighbor ASN — the exact tie-break order every phase
+needs — with policy down-edges pruned at build time, so the per-origin
+propagation touches nothing but flat ``bytearray`` / ``array('i')``
+buffers:
 
 * ``dist`` / ``route_class`` — ``bytearray`` stamped from a preallocated
   all-``_UNREACHED`` template (one C memcpy per origin);
 * ``next_hop`` — ``array('i')`` stamped from an all ``-1`` template;
-* frontier *buckets* — one reusable list per hop distance, replacing the
+* frontier *buckets* — one reusable list per hop distance, replacing
   full-graph ``sorted(range(n), key=...)`` passes: nodes are appended to
   their hop bucket during BFS and each bucket is sorted by ASN only once,
   so exporter order ``(dist, asn)`` is reproduced with per-bucket sorts
   over already-partitioned data.
 
 The decision sequence — phase order, first-offer-wins adoption, ASN
-tie-breaks, hijack seeding, leak relaxation — replicates the reference
-oracles exactly, which is what keeps every tree (and therefore every CTI
-float) byte-identical; ``tests/test_routing.py`` pins kernel vs both
-oracles across 50 randomized seeds per policy feature.
+tie-breaks, hijack seeding, leak relaxation — replicates the per-edge
+oracle in ``tests/oracles/propagation.py`` exactly, which is what keeps
+every tree (and therefore every CTI float) byte-identical;
+``tests/test_routing.py`` pins kernel vs oracle across 50 randomized
+seeds for the neutral policy and for every policy feature.
 
 Buffers are owned by the kernel and reused across origins **within** one
-kernel (one kernel per collector cache per worker).  Returned trees
+kernel (one kernel per route collector per worker).  Returned trees
 snapshot nothing: the per-origin result arrays are stamped fresh from the
 templates each call, so a tree handed out earlier is never mutated by a
 later propagation (the buffer-isolation suite asserts this).
@@ -43,12 +43,14 @@ from array import array
 from typing import List, Optional, Tuple
 
 from repro.errors import TopologyError
+from repro.net.bgp import RoutingTree
 from repro.net.flatgraph import CSRRows, FlatASGraph
+from repro.net.routing import _relax_leaks
 
-__all__ = ["PropagationKernel"]
+__all__ = ["PropagationKernel", "propagate"]
 
-# Mirror the oracle constants without importing repro.net.bgp (bgp imports
-# this module; keeping the dependency one-way avoids an import cycle).
+# Mirror the RouteClass values of repro.net.bgp as plain ints for the
+# bytearray result planes.
 _UNREACHED = 255
 _ORIGIN = 0
 _CUSTOMER = 1
@@ -60,8 +62,8 @@ def _sorted_csr(graph, rows_of, order: List[int]) -> Tuple[List[int], List[int]]
     """One relationship kind flattened to CSR with ASN-sorted rows.
 
     ``order`` maps a neighbor's dense index to its ASN rank; sorting each
-    row by rank is exactly the ``sorted(row, key=graph.asn_at)`` the
-    oracles perform per visit — done here once per graph instead.
+    row by rank is exactly ``sorted(row, key=graph.asn_at)``, done once
+    per graph.
     Plain Python lists beat ``array('i')`` in the propagation loops:
     list items are already boxed ints, so the hot path never re-boxes.
     """
@@ -98,9 +100,9 @@ class PropagationKernel:
     :class:`~repro.net.routing.RoutingPolicy`: down-edges are pruned from
     the image at build time (a down edge never carries a route in any
     phase), hijacks seed extra announcers, leakers trigger the shared
-    relaxation pass.  A kernel is tied to the (graph, policy) snapshot it
-    was built from — callers that mutate the graph build a fresh kernel,
-    exactly like the tree caches they already hold.
+    relaxation pass.  A neutral policy is the same as ``None``.  A kernel
+    is tied to the (graph, policy) snapshot it was built from — callers
+    that mutate the graph build a fresh kernel.
     """
 
     __slots__ = (
@@ -145,7 +147,7 @@ class PropagationKernel:
         self._dist_template = bytes([_UNREACHED]) * n
         self._hop_template = array("i", [-1]) * n
         #: Reusable per-hop frontier buckets (grown on demand, cleared per
-        #: origin); replaces the oracle's full-graph (dist, asn) sorts.
+        #: origin); replaces full-graph (dist, asn) sorts.
         self._buckets: List[List[int]] = []
         self._leak_graph: Optional[FlatASGraph] = None
         self.trees_built = 0
@@ -175,11 +177,9 @@ class PropagationKernel:
     def propagate(self, origin: int):
         """The routing tree toward ``origin`` (a fresh RoutingTree).
 
-        Decision-for-decision identical to the reference oracles; see the
+        Decision-for-decision identical to the reference oracle; see the
         module docstring for the order argument.
         """
-        from repro.net.bgp import RoutingTree
-
         if origin not in self._source:
             raise TopologyError(f"origin AS{origin} not in graph")
 
@@ -305,13 +305,11 @@ class PropagationKernel:
         """Run the shared leak-relaxation pass over the kernel's arrays.
 
         Leaks are rare (a policy feature, never the neutral hot path), so
-        this delegates to the oracle's relaxation worklist over a flat view
-        of the kernel's pruned adjacency — same offers, same strict-
-        improvement adoption, same loop refusal.  Down edges are already
+        this runs the plain relaxation worklist the oracle runs too, over
+        a flat view of the kernel's pruned adjacency — same offers, same
+        strict-improvement adoption, same loop refusal.  Down edges are already
         pruned from the view, so the edge filter is a constant ``False``.
         """
-        from repro.net.routing import _relax_leaks
-
         if self._leak_graph is None:
             self._leak_graph = FlatASGraph(
                 self._asns,
@@ -327,3 +325,14 @@ class PropagationKernel:
             next_hop,
             lambda a, b: False,
         )
+
+
+def propagate(graph, origin: int, policy=None):
+    """The routing tree toward ``origin`` under ``policy`` (None = neutral).
+
+    ``graph`` may be a mutable :class:`~repro.net.topology.ASGraph` or a
+    read-only :class:`~repro.net.flatgraph.FlatASGraph` view.  Builds a
+    one-off :class:`PropagationKernel`; callers routing many origins over
+    one graph should hold a kernel (or a route collector) instead.
+    """
+    return PropagationKernel(graph, policy).propagate(origin)

@@ -1,10 +1,10 @@
-"""Policy-aware valley-free route propagation.
+"""Routing policies: declarative perturbations of valley-free propagation.
 
-:mod:`repro.net.bgp` computes Gao-Rexford routing trees for a *pristine*
-topology: the tree toward an origin is a pure function of the AS graph, so
-policy-sensitive events — depeering, route leaks, prefix hijacks — cannot
-perturb monitor-observed paths at all.  This module generalizes the same
-engine with an explicit :class:`RoutingPolicy`:
+On a *pristine* topology the routing tree toward an origin is a pure
+function of the AS graph, so policy-sensitive events — depeering, route
+leaks, prefix hijacks — cannot perturb monitor-observed paths at all.  A
+:class:`RoutingPolicy` states such events explicitly, and
+:func:`repro.net.propagation.propagate` routes under it:
 
 * ``down_edges`` — adjacencies administratively disabled (depeering, link
   failure, sanctions).  Routes simply never cross a down edge.
@@ -19,41 +19,22 @@ engine with an explicit :class:`RoutingPolicy`:
   a leaked route arrives at the leaker's providers as a customer route,
   the most-preferred class.
 
-Under a *neutral* policy (nothing down, nobody leaking, no hijacks) the
-engine reproduces :func:`repro.net.bgp.propagate_routes` decision-for-
-decision; the static-tree module is retained as the reference oracle and a
-randomized equivalence suite holds the two implementations together.
+A *neutral* policy (nothing down, nobody leaking, no hijacks) changes no
+decision: it routes exactly like ``policy=None``.
 
-Propagation stays near-linear: the three valley-free phases are the same
-single-pass BFS-by-preference-class as the oracle, and the leak relaxation
-afterwards is a level-synchronous worklist that only touches the subgraph a
-leak actually improves.
+The leak relaxation that runs after the three valley-free phases lives
+here (:func:`_relax_leaks`); it is a level-synchronous worklist that only
+touches the subgraph a leak actually improves.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from repro.errors import TopologyError
-from repro.net.bgp import RouteClass, RoutingTree, _UNREACHED
+from repro.net.bgp import RouteClass, _UNREACHED
 
-__all__ = [
-    "RoutingPolicy",
-    "NEUTRAL_POLICY",
-    "propagate_policy_routes",
-    "PolicyRoutingCache",
-]
+__all__ = ["RoutingPolicy", "NEUTRAL_POLICY"]
 
 
 def _normalize_edge(a: int, b: int) -> Tuple[int, int]:
@@ -138,144 +119,6 @@ _PROVIDER = int(RouteClass.PROVIDER)
 _MAX_LEAK_ROUNDS = 10_000
 
 
-def propagate_policy_routes(
-    graph,
-    origin: int,
-    policy: Optional[RoutingPolicy] = None,
-) -> RoutingTree:
-    """Compute the routing tree toward ``origin`` under ``policy``.
-
-    Delegates to the flat-array :class:`~repro.net.propagation.
-    PropagationKernel` (down-edges pruned from the CSR image at build
-    time, hijacks seeded at distance zero, leak relaxation over the flat
-    view), which makes the decisions of
-    :func:`_reference_propagate_policy_routes` bit-for-bit; the randomized
-    equivalence suite in ``tests/test_routing.py`` holds the kernel to both
-    oracles under every policy feature.  ``graph`` may be a mutable
-    :class:`~repro.net.topology.ASGraph` or a read-only
-    :class:`~repro.net.flatgraph.FlatASGraph` view.  Callers routing many
-    origins under one policy should hold a :class:`PolicyRoutingCache`,
-    which reuses a single kernel across origins.
-    """
-    from repro.net.propagation import PropagationKernel
-
-    return PropagationKernel(graph, policy).propagate(origin)
-
-
-def _reference_propagate_policy_routes(
-    graph,
-    origin: int,
-    policy: Optional[RoutingPolicy] = None,
-) -> RoutingTree:
-    """The original per-edge policy propagation, retained as the oracle.
-
-    With a neutral (or absent) policy this makes exactly the decisions of
-    :func:`repro.net.bgp._reference_propagate_routes` — same phases, same
-    iteration order, same tie-breaks.  Adjacency rows are ASN-sorted once
-    up front (hoisted out of the per-visit inner loops; identical sort
-    keys, bit-identical output).
-    """
-    policy = NEUTRAL_POLICY if policy is None else policy
-    if origin not in graph:
-        raise TopologyError(f"origin AS{origin} not in graph")
-
-    n = len(graph)
-    dist = [_UNREACHED] * n
-    route_class = [_UNREACHED] * n
-    next_hop = [-1] * n
-
-    # Hijacks seed extra announcers at distance zero; every AS then selects
-    # among announcers with its ordinary preference rules.
-    seeds = [graph.index_of(origin)]
-    for announcer in policy.hijackers_of(origin):
-        if announcer in graph:
-            seeds.append(graph.index_of(announcer))
-    for seed in seeds:
-        dist[seed] = 0
-        route_class[seed] = _ORIGIN
-
-    down = _down_index_pairs(graph, policy)
-
-    def edge_down(a: int, b: int) -> bool:
-        return bool(down) and _normalize_edge(a, b) in down
-
-    # Hoisted adjacency-class resolution: one ASN-order sort per row, not
-    # one per visit (identical sort keys, so output is bit-identical).
-    asn_at = graph.asn_at
-    sorted_providers = [sorted(graph.providers[i], key=asn_at) for i in range(n)]
-    sorted_customers = [sorted(graph.customers[i], key=asn_at) for i in range(n)]
-    sorted_peers = [sorted(graph.peers[i], key=asn_at) for i in range(n)]
-
-    # Phase 1: customer routes climb provider edges (valley-free "uphill").
-    frontier = sorted(seeds, key=asn_at)
-    hop = 0
-    while frontier:
-        hop += 1
-        next_frontier: List[int] = []
-        for node in frontier:
-            for provider in sorted_providers[node]:
-                if edge_down(node, provider):
-                    continue
-                if dist[provider] == _UNREACHED:
-                    dist[provider] = hop
-                    route_class[provider] = _CUSTOMER
-                    next_hop[provider] = node
-                    next_frontier.append(provider)
-        frontier = next_frontier
-
-    # Phase 2: one hop across peering edges, exporters in preference order.
-    exporters = sorted(
-        (i for i in range(n) if route_class[i] in (_ORIGIN, _CUSTOMER)),
-        key=lambda i: (dist[i], graph.asn_at(i)),
-    )
-    peer_updates: List[Tuple[int, int, int]] = []
-    for node in exporters:
-        for peer in sorted_peers[node]:
-            if edge_down(node, peer):
-                continue
-            if dist[peer] == _UNREACHED:
-                peer_updates.append((peer, node, dist[node] + 1))
-    for peer, via, d in peer_updates:
-        if dist[peer] == _UNREACHED:
-            dist[peer] = d
-            route_class[peer] = _PEER
-            next_hop[peer] = via
-
-    # Phase 3: provider routes sink down customer edges ("downhill").
-    queue = deque(
-        sorted(
-            (i for i in range(n) if dist[i] != _UNREACHED),
-            key=lambda i: (dist[i], graph.asn_at(i)),
-        )
-    )
-    while queue:
-        node = queue.popleft()
-        for customer in sorted_customers[node]:
-            if edge_down(node, customer):
-                continue
-            if dist[customer] == _UNREACHED:
-                dist[customer] = dist[node] + 1
-                route_class[customer] = _PROVIDER
-                next_hop[customer] = node
-                queue.append(customer)
-
-    if policy.leakers:
-        _relax_leaks(graph, policy, dist, route_class, next_hop, edge_down)
-
-    return RoutingTree(graph, origin, next_hop, dist, route_class)
-
-
-def _down_index_pairs(graph, policy: RoutingPolicy) -> FrozenSet[Tuple[int, int]]:
-    """Policy down-edges translated to normalized dense-index pairs."""
-    if not policy.down_edges:
-        return frozenset()
-    pairs: Set[Tuple[int, int]] = set()
-    for a, b in policy.down_edges:
-        if a in graph and b in graph:
-            pairs.add(_normalize_edge(graph.index_of(a), graph.index_of(b)))
-    return frozenset(pairs)
-
-
 def _relax_leaks(
     graph,
     policy: RoutingPolicy,
@@ -353,35 +196,3 @@ def _relax_leaks(
             next_hop[neighbor] = via
             improved.add(neighbor)
         worklist = improved
-
-
-class PolicyRoutingCache:
-    """Lazy per-origin cache of policy routing trees over a fixed graph.
-
-    Drop-in replacement for :class:`repro.net.bgp.RoutingTreeCache` when a
-    collector routes under a non-trivial :class:`RoutingPolicy`.
-    """
-
-    def __init__(self, graph, policy: RoutingPolicy) -> None:
-        self._graph = graph
-        self._policy = policy
-        self._trees: Dict[int, RoutingTree] = {}
-        self._kernel = None
-
-    @property
-    def policy(self) -> RoutingPolicy:
-        return self._policy
-
-    def tree(self, origin: int) -> RoutingTree:
-        tree = self._trees.get(origin)
-        if tree is None:
-            if self._kernel is None:
-                from repro.net.propagation import PropagationKernel
-
-                self._kernel = PropagationKernel(self._graph, self._policy)
-            tree = self._kernel.propagate(origin)
-            self._trees[origin] = tree
-        return tree
-
-    def __len__(self) -> int:
-        return len(self._trees)

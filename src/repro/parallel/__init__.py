@@ -3,9 +3,9 @@
 Two pieces, each usable alone:
 
 * :class:`~repro.parallel.context.ExecutionContext` — one abstraction over
-  serial / thread-pool / process-pool execution with order-preserving
-  ``map_ordered``, selected via ``--jobs/-j`` on the CLI or the
-  ``REPRO_JOBS`` / ``REPRO_BACKEND`` environment variables;
+  serial and process-pool execution with order-preserving
+  ``map_ordered``; the worker count (``--jobs/-j`` on the CLI, or the
+  ``REPRO_JOBS`` environment variable) picks between them;
 * :class:`~repro.parallel.cache.ResultCache` — a content-addressed on-disk
   store (``~/.cache/repro`` or ``REPRO_CACHE_DIR``) that lets repeated
   pipeline runs over the same world skip CTI recomputation entirely.

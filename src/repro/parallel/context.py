@@ -1,16 +1,16 @@
-"""Pluggable serial / thread / process execution.
+"""Serial or process-pool execution behind one interface.
 
 :class:`ExecutionContext` is the one abstraction the pipeline fans work out
-through.  Its contract is deliberately narrow so that every backend can
+through.  Its contract is deliberately narrow so that both backends can
 honor it exactly:
 
 * ``map_ordered(fn, items, state=...)`` applies ``fn(state, item)`` to every
   item and returns the results **in input order** — the caller performs the
   reduction itself, in a deterministic order, so parallel runs are
   bit-identical to serial ones;
-* ``state`` is shared by reference on the serial and thread backends and
-  shipped to each worker process exactly once **per run** on the process
-  backend: the context lazily creates one run-scoped
+* ``state`` is shared by reference on the serial backend and shipped to
+  each worker process exactly once **per run** on the process backend:
+  the context lazily creates one run-scoped
   :class:`~repro.parallel.runtime.WorkerRuntime` that owns a persistent
   pool and a handle-based state registry, so a heavy read-only object (a
   route collector, an ownership analyst) is pickled once and referenced by
@@ -18,9 +18,11 @@ honor it exactly:
   explicitly (``context.register(obj) -> StateHandle``) or keep passing the
   raw object — unregistered states are auto-registered by identity.
 
-Contexts are context managers; ``close()`` shuts the runtime's pool down.
-The pipeline closes the contexts it creates itself and leaves injected
-ones (CLI-owned, shared across world generation and the pipeline) alone.
+The worker count decides the backend: one job runs serially, more run on
+the process pool.  Contexts are context managers; ``close()`` shuts the
+runtime's pool down.  The pipeline closes the contexts it creates itself
+and leaves injected ones (CLI-owned, shared across world generation and
+the pipeline) alone.
 
 Worker counts and task counts flow into the process-global metrics registry
 as ``parallel.jobs`` (gauge) and ``parallel.tasks`` (counter); pool
@@ -50,7 +52,7 @@ from repro.resilience.faults import worker_fault_point
 
 __all__ = ["BACKENDS", "ExecutionContext"]
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 S = TypeVar("S")
 T = TypeVar("T")
@@ -58,33 +60,39 @@ R = TypeVar("R")
 
 
 class ExecutionContext:
-    """Executes homogeneous task batches on a selectable backend."""
+    """Executes homogeneous task batches serially or on a process pool.
 
-    def __init__(self, jobs: int = 1, backend: str = "serial") -> None:
-        if backend not in BACKENDS:
+    ``jobs`` alone picks the backend: one job runs serially, more on the
+    process pool.  ``backend`` is still accepted (and checked against
+    :data:`BACKENDS`) for callers that name it, but it selects nothing.
+    """
+
+    def __init__(self, jobs: int = 1, backend: Optional[str] = None) -> None:
+        if backend is not None and backend not in BACKENDS:
             raise ConfigError(
                 f"unknown parallel backend {backend!r}; pick one of {BACKENDS}"
             )
         if jobs < 1:
             raise invalid_jobs(jobs)
-        if backend == "serial":
-            jobs = 1
         self.jobs = jobs
-        self.backend = backend
         self._runtime: Optional[WorkerRuntime] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ExecutionContext(jobs={self.jobs}, backend={self.backend!r})"
 
     @property
+    def backend(self) -> str:
+        return "serial" if self.jobs == 1 else "process"
+
+    @property
     def is_serial(self) -> bool:
-        return self.backend == "serial" or self.jobs == 1
+        return self.jobs == 1
 
     @property
     def runtime(self) -> WorkerRuntime:
         """The run-scoped worker runtime, created on first use."""
         if self._runtime is None:
-            self._runtime = WorkerRuntime(self.jobs, self.backend)
+            self._runtime = WorkerRuntime(self.jobs)
         return self._runtime
 
     def register(self, state, name: str = "state") -> StateHandle:
@@ -108,16 +116,14 @@ class ExecutionContext:
     def resolve(
         cls,
         jobs: Optional[int] = None,
-        backend: Optional[str] = None,
         env: Optional[Mapping[str, str]] = None,
     ) -> "ExecutionContext":
-        """Build a context from explicit values with environment fallbacks.
+        """Build a context from an explicit job count or the environment.
 
         ``jobs`` falls back to ``REPRO_JOBS`` and then 1; ``jobs=0`` (or
         ``REPRO_JOBS=0``) means "all cores" and is expanded here — only
-        ``resolve`` accepts it.  ``backend`` falls back to ``REPRO_BACKEND``
-        and then to ``process`` when more than one job is requested,
-        ``serial`` otherwise.
+        ``resolve`` accepts it.  More than one job runs on the process
+        backend, one job serially.
         """
         env = os.environ if env is None else env
         if jobs is None:
@@ -133,11 +139,7 @@ class ExecutionContext:
             raise invalid_jobs(jobs)
         if jobs == 0:
             jobs = os.cpu_count() or 1
-        if backend is None:
-            backend = env.get("REPRO_BACKEND", "").strip() or (
-                "process" if jobs > 1 else "serial"
-            )
-        return cls(jobs=jobs, backend=backend)
+        return cls(jobs=jobs)
 
     # -- execution ---------------------------------------------------------
     def map_ordered(
@@ -160,9 +162,8 @@ class ExecutionContext:
         path on the process backend: workers export each shareable result
         into a segment (:func:`~repro.parallel.shm.export_result`) and only
         the name card crosses the pipe; the runtime adopts the segments
-        during the ordered merge.  Serial and thread backends return the
-        objects directly (no pickling happens there anyway), and setting
-        ``REPRO_SHM_RESULTS=0`` disables the path globally.
+        during the ordered merge.  The serial backend returns the objects
+        directly (no pickling happens there anyway).
         """
         items = list(items)
         metrics = get_metrics()
@@ -184,13 +185,6 @@ class ExecutionContext:
                     worker_fault_point(site, 0)
                     results.append(fn(local_state, item))
                 return results
-            if self.backend == "thread":
-                local_state = (
-                    self.runtime.resolve(state)
-                    if isinstance(state, StateHandle)
-                    else state
-                )
-                return self.runtime.thread_map(fn, items, local_state, site)
             # Process backend: reference state by handle (shipped once per
             # run), then stream items in chunks big enough to amortize the
             # IPC round-trips.
@@ -200,11 +194,8 @@ class ExecutionContext:
                 items[start : start + chunksize]
                 for start in range(0, len(items), chunksize)
             ]
-            use_shm = (
-                shm_results and os.environ.get("REPRO_SHM_RESULTS", "1") != "0"
-            )
             return self.runtime.process_map(
-                fn, chunks, self._state_ref(state), site, sp, shm_results=use_shm
+                fn, chunks, self._state_ref(state), site, sp, shm_results=shm_results
             )
 
     def _state_ref(self, state):

@@ -40,9 +40,6 @@ pool is discarded, completed chunks keep their results, unfinished chunks
 are requeued with an incremented delivery attempt on a freshly spawned
 pool (whose initializer re-ships the complete state registry), bounded by
 ``_MAX_POOL_RESTARTS`` (``parallel.pool_restarts`` / ``requeued_tasks``).
-
-Thread pools get the same lifecycle (spawn once, reuse, close) with states
-shared by reference — no shipping needed.
 """
 
 from __future__ import annotations
@@ -51,11 +48,7 @@ import itertools
 import multiprocessing
 import pickle
 import threading
-from concurrent.futures import (
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -173,9 +166,8 @@ def _run_chunk(payload: Tuple[int, int, Callable, Any, str, list, bool]):
 class WorkerRuntime:
     """One long-lived worker pool plus the registry of shipped states."""
 
-    def __init__(self, jobs: int, backend: str) -> None:
+    def __init__(self, jobs: int) -> None:
         self.jobs = jobs
-        self.backend = backend
         self._registry: Dict[str, Any] = {}
         self._auto_handles: Dict[int, StateHandle] = {}
         self._tokens = itertools.count(1)
@@ -188,7 +180,7 @@ class WorkerRuntime:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"WorkerRuntime(jobs={self.jobs}, backend={self.backend!r}, "
+            f"WorkerRuntime(jobs={self.jobs}, "
             f"states={len(self._registry)}, live={self._pool is not None})"
         )
 
@@ -213,7 +205,7 @@ class WorkerRuntime:
         return handle
 
     def resolve(self, handle: StateHandle) -> Any:
-        """Coordinator-side lookup (serial / thread backends)."""
+        """Coordinator-side lookup (serial backend)."""
         try:
             return self._registry[handle.token]
         except KeyError:
@@ -328,16 +320,6 @@ class WorkerRuntime:
         self._shipped |= set(pending)
         get_metrics().incr("parallel.state_ships", len(pending))
 
-    def _ensure_thread_pool(self) -> ThreadPoolExecutor:
-        if self._closed:
-            raise ConfigError("worker runtime is closed")
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.jobs)
-            get_metrics().incr("parallel.pool_spawns")
-        else:
-            get_metrics().incr("parallel.pool_reuse")
-        return self._pool
-
     def close(self) -> None:
         """Shut the pool down and release every shared segment.
 
@@ -382,16 +364,6 @@ class WorkerRuntime:
             pass
 
     # -- execution ---------------------------------------------------------
-    def thread_map(self, fn, items, state, site) -> List[Any]:
-        """Ordered map on the persistent thread pool (state by reference)."""
-        pool = self._ensure_thread_pool()
-
-        def run_one(item):
-            worker_fault_point(site, 0)
-            return fn(state, item)
-
-        return list(pool.map(run_one, items))
-
     def process_map(
         self, fn, chunks, state_ref, site, sp, shm_results: bool = False
     ) -> List[Any]:

@@ -168,10 +168,9 @@ class Prefix2ASTable:
 
     @staticmethod
     def _sweep_counts(bases: array, lengths: array, context) -> array:
-        if context is None or getattr(context, "backend", None) in (None, "serial"):
+        if context is None or context.is_serial:
             return sweep_uncovered_counts(bases, lengths)
-        jobs = max(getattr(context, "jobs", 1), 1)
-        bounds = sweep_cut_points(bases, lengths, jobs * 4)
+        bounds = sweep_cut_points(bases, lengths, context.jobs * 4)
         spans = list(zip(bounds, bounds[1:]))
         if len(spans) <= 1:
             return sweep_uncovered_counts(bases, lengths)

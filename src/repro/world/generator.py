@@ -36,7 +36,6 @@ through an :class:`~repro.parallel.ExecutionContext`:
 
 from __future__ import annotations
 
-import os
 import zlib
 from array import array
 from dataclasses import dataclass, field
@@ -75,6 +74,10 @@ __all__ = ["World", "WorldGenerator", "GroundTruthOperator"]
 #: Bumped whenever a change alters the world a given config generates, so
 #: cached world blobs written by older revisions are never served stale.
 GENERATOR_VERSION = 4
+
+#: Countries planned per fan-out call while building the world; bounds the
+#: number of in-flight plan payloads at internet scale.
+_COUNTRY_SHARD = 32
 
 INTERNATIONAL_CARRIER_CCS: Tuple[str, ...] = (
     "SG",
@@ -222,9 +225,8 @@ class World:
     def set_routing_policy(self, policy: Optional[RoutingPolicy]) -> None:
         """Install (or clear) a routing policy, invalidating cached trees.
 
-        ``None`` restores the static oracle trees.  A non-``None`` policy —
-        even a neutral one — routes every subsequent path lookup through
-        the policy engine of :mod:`repro.net.routing`.
+        ``None`` routes neutrally, exactly like a neutral policy; every
+        subsequent path lookup propagates under the installed policy.
         """
         self.routing_policy = policy
         self._collector = None
@@ -317,9 +319,8 @@ class World:
 
         # A non-neutral routing policy changes which paths monitors observe,
         # so it must key every derived cache entry.  Neutral/absent policies
-        # are deliberately omitted: the policy engine is path-identical to
-        # the static oracle there, and keeping the digest unchanged lets
-        # static and neutral-policy runs share persistent CTI cache entries.
+        # route identically and are deliberately omitted, so they share
+        # persistent CTI cache entries.
         policy_key = (
             self.routing_policy.as_dict()
             if self.routing_policy is not None
@@ -1360,17 +1361,16 @@ class WorldGenerator:
             "private_groups": [g.entity_id for g in self._private_groups],
         }
         ccs = [c.cc for c in COUNTRIES]
-        shard_size = max(1, int(os.environ.get("REPRO_SHARD_COUNTRIES", "32")))
         with span("world.countries") as sp:
             bundles: List[_CountryBundle] = []
-            for i in range(0, len(ccs), shard_size):
-                shard = ccs[i : i + shard_size]
+            for i in range(0, len(ccs), _COUNTRY_SHARD):
+                shard = ccs[i : i + _COUNTRY_SHARD]
                 bundles.extend(
                     self._map(_build_country_task, shard, state, "world.countries")
                 )
             sp.incr("countries", len(bundles))
-            if len(ccs) > shard_size:
-                sp.incr("shards", -(-len(ccs) // shard_size))
+            if len(ccs) > _COUNTRY_SHARD:
+                sp.incr("shards", -(-len(ccs) // _COUNTRY_SHARD))
         get_metrics().incr("world.gen.countries", len(bundles))
         return bundles
 

@@ -17,10 +17,17 @@ import os
 
 import pytest
 
-from repro.config import PipelineConfig, SourceNoiseConfig, WorldConfig
+from repro.config import (
+    ParallelConfig,
+    PipelineConfig,
+    SourceNoiseConfig,
+    WorldConfig,
+)
 from repro.core import PipelineInputs, StateOwnershipPipeline
+from repro.obs import get_metrics
 from repro.parallel import ResultCache, resolve_cache_dir
 from repro.world.generator import World, WorldGenerator
+from repro.world.scenarios import run_scenario_packs
 from repro.world.worldcache import load_or_generate
 
 
@@ -54,6 +61,26 @@ def small_inputs(small_world):
 def pipeline_result(small_inputs):
     """One full pipeline run over the small world (shared, read-only)."""
     return StateOwnershipPipeline(small_inputs).run()
+
+
+@pytest.fixture(scope="session")
+def process_pipeline_run(small_inputs):
+    """The same run with ``ParallelConfig(jobs=2)``, so the pipeline builds
+    its own process-pool context (shared, read-only).
+
+    Returns ``(result, pool_spawns)``; the spawn count lets tests check
+    that the run really went through a pool.
+    """
+    metrics = get_metrics()
+    spawns_before = metrics.counter("parallel.pool_spawns")
+    result = StateOwnershipPipeline(small_inputs, parallel=ParallelConfig(jobs=2)).run()
+    return result, metrics.counter("parallel.pool_spawns") - spawns_before
+
+
+@pytest.fixture(scope="session")
+def scenario_report(tiny_world):
+    """One full scenario-matrix run over the tiny world (shared, read-only)."""
+    return run_scenario_packs(tiny_world)
 
 
 @pytest.fixture()

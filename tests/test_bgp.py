@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TopologyError
-from repro.net.bgp import RouteClass, RoutingTreeCache, propagate_routes
+from repro.net.bgp import RouteClass
+from repro.net.monitors import Monitor, MonitorSet, RouteCollector
+from repro.net.propagation import propagate
 from repro.net.topology import ASGraph, Relationship
 
 
@@ -40,7 +42,7 @@ class TestBasicPropagation:
     def test_origin_has_zero_distance(self):
         g = ASGraph()
         g.add_c2p(2, 1)
-        tree = propagate_routes(g, 2)
+        tree = propagate(g, 2)
         assert tree.distance(2) == 0
         assert tree.route_class(2) is RouteClass.ORIGIN
         assert tree.path_from(2) == (2,)
@@ -48,21 +50,21 @@ class TestBasicPropagation:
     def test_provider_learns_customer_route(self):
         g = ASGraph()
         g.add_c2p(2, 1)
-        tree = propagate_routes(g, 2)
+        tree = propagate(g, 2)
         assert tree.route_class(1) is RouteClass.CUSTOMER
         assert tree.path_from(1) == (1, 2)
 
     def test_customer_learns_provider_route(self):
         g = ASGraph()
         g.add_c2p(2, 1)
-        tree = propagate_routes(g, 1)
+        tree = propagate(g, 1)
         assert tree.route_class(2) is RouteClass.PROVIDER
         assert tree.path_from(2) == (2, 1)
 
     def test_peer_route_single_hop(self):
         g = ASGraph()
         g.add_p2p(1, 2)
-        tree = propagate_routes(g, 1)
+        tree = propagate(g, 1)
         assert tree.route_class(2) is RouteClass.PEER
         assert tree.path_from(2) == (2, 1)
 
@@ -71,14 +73,14 @@ class TestBasicPropagation:
         g = ASGraph()
         g.add_p2p(1, 2)
         g.add_p2p(2, 3)
-        tree = propagate_routes(g, 1)
+        tree = propagate(g, 1)
         assert not tree.has_route(3)
 
     def test_unknown_origin(self):
         g = ASGraph()
         g.add_c2p(2, 1)
         with pytest.raises(TopologyError):
-            propagate_routes(g, 42)
+            propagate(g, 42)
 
 
 class TestPreferences:
@@ -89,7 +91,7 @@ class TestPreferences:
         g.add_c2p(5, 9)     # 5 is customer of 9
         g.add_p2p(9, 6)
         g.add_c2p(5, 6)
-        tree = propagate_routes(g, 5)
+        tree = propagate(g, 5)
         assert tree.route_class(9) is RouteClass.CUSTOMER
         assert tree.path_from(9) == (9, 5)
 
@@ -100,7 +102,7 @@ class TestPreferences:
         g.add_c2p(1, 2)     # 2 has customer 1 -> exports to peer 3
         g.add_c2p(3, 4)     # 4 is provider of 3
         g.add_c2p(1, 4)
-        tree = propagate_routes(g, 1)
+        tree = propagate(g, 1)
         assert tree.route_class(3) is RouteClass.PEER
 
     def test_customer_route_preferred_even_if_longer(self):
@@ -112,7 +114,7 @@ class TestPreferences:
         g.add_c2p(3, 10)    # customer chain 10 <- 3 <- 2 <- 1
         g.add_c2p(10, 20)   # 20 provider of 10
         g.add_c2p(1, 20)
-        tree = propagate_routes(g, 1)
+        tree = propagate(g, 1)
         assert tree.route_class(10) is RouteClass.CUSTOMER
         assert tree.path_from(10) == (10, 3, 2, 1)
 
@@ -124,7 +126,7 @@ class TestPreferences:
         g.add_c2p(1, 3)
         g.add_c2p(4, 3)
         g.add_c2p(5, 4)       # 5 -> 4 -> 3 -> 1
-        tree = propagate_routes(g, 1)
+        tree = propagate(g, 1)
         assert tree.distance(5) == 2
 
     def test_deterministic_tie_break_lowest_asn(self):
@@ -133,21 +135,21 @@ class TestPreferences:
         g.add_c2p(1, 3)
         g.add_c2p(9, 7)
         g.add_c2p(9, 3)
-        tree = propagate_routes(g, 1)
+        tree = propagate(g, 1)
         # 9 has two equal-length provider... actually customer routes via 3
         # and 7; lowest next-hop ASN (3) must win.
         assert tree.path_from(9) == (9, 3, 1)
 
 
 class TestTreeCache:
-    def test_cache_reuses_trees(self):
+    def test_collector_reuses_trees(self):
         g = ASGraph()
         g.add_c2p(2, 1)
-        cache = RoutingTreeCache(g)
-        t1 = cache.tree(1)
-        t2 = cache.tree(1)
-        assert t1 is t2
-        assert len(cache) == 1
+        collector = RouteCollector(g, MonitorSet([Monitor("m0", 2)]))
+        first = collector.paths_to(1)
+        assert collector.paths_to(1) == first == {"m0": (2, 1)}
+        assert collector.trees_computed() == 1
+        assert collector._kernel.trees_built == 1
 
 
 def random_valley_free_graph(rng: random.Random, n_levels=4, per_level=4):
@@ -186,7 +188,7 @@ class TestValleyFreeProperty:
         g.validate()
         origins = rng.sample(g.asns, k=3)
         for origin in origins:
-            tree = propagate_routes(g, origin)
+            tree = propagate(g, origin)
             for asn in g.asns:
                 path = tree.path_from(asn)
                 if path is None or len(path) < 2:
@@ -199,7 +201,7 @@ class TestValleyFreeProperty:
         rng = random.Random(seed)
         g = random_valley_free_graph(rng)
         origin = rng.choice(g.asns)
-        tree = propagate_routes(g, origin)
+        tree = propagate(g, origin)
         for asn in g.asns:
             path = tree.path_from(asn)
             if path is None:

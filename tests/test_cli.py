@@ -14,6 +14,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "removed", [["--routing", "policy"], ["--backend", "thread"]]
+    )
+    def test_removed_options_rejected(self, removed):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", *removed])
+
     def test_generate_defaults(self):
         args = build_parser().parse_args(["generate"])
         assert args.scale == 0.3

@@ -207,9 +207,9 @@ class TestStreamingScores:
         # Scoring again recomputes identically.
         assert cti.country_cti("XX") == scores["XX"]
 
-    def test_sharded_stream_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CTI_SHARD", "1")
-        sharded = dict(gateway_scenario().stream_country_scores(["XX", "T1"]))
-        monkeypatch.delenv("REPRO_CTI_SHARD")
+    def test_sharded_stream_identical(self):
+        sharded = dict(
+            gateway_scenario().stream_country_scores(["XX", "T1"], shard_size=1)
+        )
         whole = dict(gateway_scenario().stream_country_scores(["XX", "T1"]))
         assert sharded == whole

@@ -218,7 +218,7 @@ class TestMemoryCeiling:
         for jobs in (2, 4):
             blob_before = metrics.counter("runtime.state_bytes")
             shm_before = metrics.counter("runtime.shm_bytes")
-            with ExecutionContext(jobs=jobs, backend="process") as context:
+            with ExecutionContext(jobs=jobs) as context:
                 results = context.map_ordered(
                     _touch_columns, list(range(jobs * 2)), state=index
                 )

@@ -167,7 +167,7 @@ class TestWiringShmProtocol:
 
         config = WorldConfig(seed=97, scale=0.3)
         serial = WorldGenerator(config).generate()
-        with ExecutionContext(jobs=2, backend="process") as context:
+        with ExecutionContext(jobs=2) as context:
             parallel = WorldGenerator(config, context=context).generate()
         assert dict(serial.asn_records) == dict(parallel.asn_records)
         ga, gb = serial.graph, parallel.graph

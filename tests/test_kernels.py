@@ -307,6 +307,34 @@ class TestLinearSweepEquivalence:
         rng = random.Random(123456)
         entries = self._random_entries(rng)
         serial = Prefix2ASTable(entries).flat_counts()
-        with ExecutionContext(jobs=2, backend="process") as context:
+        with ExecutionContext(jobs=2) as context:
             parallel = Prefix2ASTable(entries).flat_counts(context=context)
         assert parallel.uncovered.tobytes() == serial.uncovered.tobytes()
+
+    def test_single_job_context_sweeps_inline(self):
+        """A one-worker context is serial whatever its backend name: the
+        sweep must not split into map tasks that run one after another."""
+        from array import array
+
+        from repro.net.prefix import sweep_cut_points
+        from repro.parallel import ExecutionContext
+        from repro.sources.prefix2as import Prefix2ASTable
+
+        entries = self._random_entries(random.Random(123456))
+        table = Prefix2ASTable(entries)
+        bases = array("I", (p.base for p, _ in table))
+        lengths = array("B", (p.length for p, _ in table))
+        assert len(sweep_cut_points(bases, lengths, 4)) > 2  # splittable
+        labels = []
+        with ExecutionContext(jobs=1, backend="process") as context:
+            real_map = context.map_ordered
+
+            def spy(fn, items, **kwargs):
+                labels.append(kwargs.get("label"))
+                return real_map(fn, items, **kwargs)
+
+            context.map_ordered = spy
+            counts = table.flat_counts(context=context)
+        assert "prefix.sweep" not in labels
+        serial = Prefix2ASTable(entries).flat_counts()
+        assert counts.uncovered.tobytes() == serial.uncovered.tobytes()

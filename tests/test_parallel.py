@@ -36,28 +36,32 @@ def _ident(state, item):
 
 
 class TestExecutionContext:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_map_ordered_preserves_input_order(self, backend):
-        with ExecutionContext(jobs=2, backend=backend) as context:
+    @pytest.mark.parametrize("jobs", [1, 2], ids=BACKENDS)
+    def test_map_ordered_preserves_input_order(self, jobs):
+        with ExecutionContext(jobs=jobs) as context:
             items = list(range(23))
             assert context.map_ordered(_double, items, state=5) == [
                 5 + i * 2 for i in items
             ]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_empty_batch(self, backend):
-        with ExecutionContext(jobs=2, backend=backend) as context:
+    @pytest.mark.parametrize("jobs", [1, 2], ids=BACKENDS)
+    def test_empty_batch(self, jobs):
+        with ExecutionContext(jobs=jobs) as context:
             assert context.map_ordered(_ident, []) == []
-
-    def test_serial_forces_single_job(self):
-        assert ExecutionContext(jobs=8, backend="serial").jobs == 1
 
     def test_single_job_is_serial(self):
         assert ExecutionContext(jobs=1, backend="process").is_serial
 
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("backend", ["gpu", "thread"])
+    def test_unknown_backend_rejected(self, backend):
         with pytest.raises(ConfigError):
-            ExecutionContext(jobs=2, backend="gpu")
+            ExecutionContext(jobs=2, backend=backend)
+
+    def test_jobs_pick_the_backend(self):
+        assert ExecutionContext(jobs=1).backend == "serial"
+        assert ExecutionContext(jobs=2).backend == "process"
+        # A named backend is checked but selects nothing.
+        assert ExecutionContext(jobs=2, backend="serial").backend == "process"
 
     def test_nonpositive_jobs_rejected(self):
         with pytest.raises(ConfigError):
@@ -69,18 +73,14 @@ class TestExecutionContext:
         assert context.backend == "serial"
 
     def test_resolve_reads_environment(self):
-        context = ExecutionContext.resolve(
-            env={"REPRO_JOBS": "3", "REPRO_BACKEND": "thread"}
-        )
+        context = ExecutionContext.resolve(env={"REPRO_JOBS": "3"})
         assert context.jobs == 3
-        assert context.backend == "thread"
+        assert context.backend == "process"
 
     def test_resolve_explicit_wins_over_env(self):
-        context = ExecutionContext.resolve(
-            jobs=2, backend="thread", env={"REPRO_JOBS": "7"}
-        )
+        context = ExecutionContext.resolve(jobs=2, env={"REPRO_JOBS": "7"})
         assert context.jobs == 2
-        assert context.backend == "thread"
+        assert context.backend == "process"
 
     def test_resolve_zero_means_all_cores(self):
         context = ExecutionContext.resolve(jobs=0, env={})
@@ -96,7 +96,7 @@ class TestExecutionContext:
     def test_task_metrics_flow(self):
         metrics = get_metrics()
         before = metrics.counter("parallel.tasks")
-        with ExecutionContext(jobs=2, backend="thread") as context:
+        with ExecutionContext(jobs=2) as context:
             context.map_ordered(_ident, [1, 2, 3])
         assert metrics.counter("parallel.tasks") - before == 3
 
@@ -105,12 +105,7 @@ class TestParallelConfig:
     def test_defaults_are_serial_and_uncached(self):
         config = ParallelConfig()
         assert config.jobs == 1
-        assert config.backend == "serial"
         assert config.cache_dir is None
-
-    def test_rejects_bad_backend(self):
-        with pytest.raises(ConfigError):
-            ParallelConfig(backend="cluster")
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ConfigError):
@@ -193,7 +188,7 @@ class TestWorkerStatePickling:
     def test_analyst_survives_pickling(self, small_inputs):
         analyst = OwnershipAnalyst(small_inputs.corpus)
         clone = pickle.loads(pickle.dumps(analyst))
-        assert clone._in_progress() == set()
+        assert clone._in_progress == set()
 
     def test_collector_pickles_without_trees(self, small_inputs):
         collector = small_inputs.collector
@@ -251,14 +246,11 @@ def _result_key(result):
 
 
 class TestPipelineDeterminism:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_parallel_runs_are_bit_identical(
-        self, backend, small_inputs, pipeline_result
+        self, process_pipeline_run, pipeline_result
     ):
-        parallel = StateOwnershipPipeline(
-            small_inputs,
-            parallel=ParallelConfig(jobs=2, backend=backend),
-        ).run()
+        parallel, pool_spawns = process_pipeline_run
+        assert pool_spawns >= 1  # ParallelConfig(jobs=2) ran on a process pool
         assert _result_key(parallel) == _result_key(pipeline_result)
         assert parallel.confirmed_keys == pipeline_result.confirmed_keys
         assert parallel.minority_keys == pipeline_result.minority_keys

@@ -1,7 +1,7 @@
 """Tests for AS-relationship inference from observed paths."""
 
 
-from repro.net.bgp import propagate_routes
+from repro.net.propagation import propagate
 from repro.net.relationships import infer_relationships
 from repro.net.topology import ASGraph, Relationship
 
@@ -9,7 +9,7 @@ from repro.net.topology import ASGraph, Relationship
 def observed_paths(graph, origins, observers):
     paths = []
     for origin in origins:
-        tree = propagate_routes(graph, origin)
+        tree = propagate(graph, origin)
         for observer in observers:
             path = tree.path_from(observer)
             if path and len(path) >= 2:

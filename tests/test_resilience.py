@@ -384,7 +384,7 @@ class TestWorkerCrashRequeue:
         clear_fault_plan()  # workers (and we) re-read the environment
         items = list(range(12))
         before = get_metrics().counter("parallel.pool_restarts")
-        with ExecutionContext(jobs=2, backend="process") as context:
+        with ExecutionContext(jobs=2) as context:
             results = context.map_ordered(_square, items, label="square", chunksize=3)
         assert results == [i * i for i in items]
         assert get_metrics().counter("parallel.pool_restarts") > before

@@ -1,16 +1,16 @@
-"""Tests for the policy-aware valley-free propagation engine.
+"""Tests for valley-free route propagation under routing policies.
 
-Three pillars hold :mod:`repro.net.routing` to its contract:
+Three pillars hold :func:`repro.net.propagation.propagate` to its contract:
 
-* a 50-seed randomized equivalence suite proving the policy engine makes
-  *exactly* the decisions of the static :mod:`repro.net.bgp` oracle under a
-  neutral policy (same paths, classes and distances — not just same
-  reachability);
+* 50-seed randomized suites proving the flat-array kernel makes *exactly*
+  the decisions of the per-edge oracle in ``tests/oracles/propagation.py``
+  — same paths, classes and distances, not just same reachability — with
+  no policy, with the neutral policy, and under every policy feature;
 * valley-free invariant checks — policies that only disable edges or add
   hijack announcers must never manufacture a valley, while a route leak
   must be able to (the negative control that proves the checker has teeth);
-* byte-identity of propagated-route CTI across the serial, thread and
-  process backends, policy riding along through pickle and shared memory.
+* byte-identity of propagated-route CTI across the serial and process
+  backends, policy riding along through pickle and shared memory.
 """
 
 from __future__ import annotations
@@ -23,27 +23,17 @@ import pytest
 from repro.config import SourceNoiseConfig
 from repro.cti.metric import CTIComputer
 from repro.errors import TopologyError
-from repro.net.bgp import (
-    RouteClass,
-    RoutingTreeCache,
-    _reference_propagate_routes,
-    propagate_routes,
-)
+from repro.net.bgp import RouteClass
 from repro.net.monitors import Monitor, MonitorSet, RouteCollector
 from repro.net.prefix import Prefix
-from repro.net.propagation import PropagationKernel
-from repro.net.routing import (
-    NEUTRAL_POLICY,
-    PolicyRoutingCache,
-    RoutingPolicy,
-    _reference_propagate_policy_routes,
-    propagate_policy_routes,
-)
+from repro.net.propagation import PropagationKernel, propagate
+from repro.net.routing import NEUTRAL_POLICY, RoutingPolicy
 from repro.net.topology import ASGraph
 from repro.parallel import ExecutionContext
 from repro.sources.geolocation import GeolocationService
 from repro.sources.prefix2as import Prefix2ASTable
 
+from tests.oracles.propagation import reference_propagate
 from tests.test_bgp import random_valley_free_graph, valley_free
 
 
@@ -103,15 +93,15 @@ class TestRoutingPolicy:
 
 
 class TestNeutralEquivalence:
-    """The policy engine IS the oracle when the policy says nothing."""
+    """A policy that says nothing routes exactly like no policy at all."""
 
     @pytest.mark.parametrize("seed", range(50))
-    def test_matches_static_oracle(self, seed):
+    def test_neutral_policy_matches_oracle(self, seed):
         rng = random.Random(seed)
         graph = random_valley_free_graph(rng)
         for origin in graph.asns:
-            oracle = propagate_routes(graph, origin)
-            tree = propagate_policy_routes(graph, origin, NEUTRAL_POLICY)
+            oracle = reference_propagate(graph, origin)
+            tree = propagate(graph, origin, NEUTRAL_POLICY)
             for asn in graph.asns:
                 assert tree.has_route(asn) == oracle.has_route(asn)
                 if not oracle.has_route(asn):
@@ -123,13 +113,13 @@ class TestNeutralEquivalence:
     def test_none_policy_means_neutral(self):
         graph = random_valley_free_graph(random.Random(99))
         origin = graph.asns[-1]
-        a = propagate_policy_routes(graph, origin)
-        b = propagate_routes(graph, origin)
+        a = propagate(graph, origin)
+        b = reference_propagate(graph, origin, NEUTRAL_POLICY)
         assert all(a.path_from(x) == b.path_from(x) for x in graph.asns)
 
     def test_unknown_origin_raises(self):
         with pytest.raises(TopologyError):
-            propagate_policy_routes(leak_quad(), 999)
+            propagate(leak_quad(), 999)
 
 
 class TestValleyFreeInvariant:
@@ -151,7 +141,7 @@ class TestValleyFreeInvariant:
         victim, hijacker = rng.sample(asns, k=2)
         policy = RoutingPolicy.build(down_edges=down, hijacks={victim: [hijacker]})
         for origin in asns:
-            tree = propagate_policy_routes(graph, origin, policy)
+            tree = propagate(graph, origin, policy)
             for asn in asns:
                 if tree.has_route(asn):
                     assert valley_free(graph, tree.path_from(asn))
@@ -160,11 +150,11 @@ class TestValleyFreeInvariant:
         """Negative control: the leaked customer route at AS2 climbs back
         up through the leaker — exactly the valley the checker must flag."""
         graph = leak_quad()
-        neutral = propagate_policy_routes(graph, 4)
+        neutral = propagate(graph, 4)
         assert neutral.path_from(2) == (2, 1, 4)
         assert valley_free(graph, neutral.path_from(2))
 
-        leaked = propagate_policy_routes(graph, 4, RoutingPolicy.build(leakers=[3]))
+        leaked = propagate(graph, 4, RoutingPolicy.build(leakers=[3]))
         assert leaked.path_from(2) == (2, 3, 1, 4)
         assert leaked.route_class(2) is RouteClass.CUSTOMER
         assert not valley_free(graph, leaked.path_from(2))
@@ -173,7 +163,7 @@ class TestValleyFreeInvariant:
         # AS1 already holds a customer route of length 1; the leaker's
         # longer customer offer must lose the tie-break.
         graph = leak_quad()
-        leaked = propagate_policy_routes(graph, 4, RoutingPolicy.build(leakers=[3]))
+        leaked = propagate(graph, 4, RoutingPolicy.build(leakers=[3]))
         assert leaked.path_from(1) == (1, 4)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -183,7 +173,7 @@ class TestValleyFreeInvariant:
         leakers = rng.sample(graph.asns, k=3)
         policy = RoutingPolicy.build(leakers=leakers)
         for origin in graph.asns:
-            tree = propagate_policy_routes(graph, origin, policy)
+            tree = propagate(graph, origin, policy)
             for asn in graph.asns:
                 if tree.has_route(asn):
                     path = tree.path_from(asn)
@@ -196,7 +186,7 @@ class TestPolicyMechanics:
         g = ASGraph()
         g.add_p2p(1, 2)
         policy = RoutingPolicy.build(down_edges=[(2, 1)])
-        tree = propagate_policy_routes(g, 1, policy)
+        tree = propagate(g, 1, policy)
         assert not tree.has_route(2)
 
     def test_down_edge_forces_detour(self):
@@ -205,7 +195,7 @@ class TestPolicyMechanics:
         g.add_c2p(10, 1)
         g.add_c2p(10, 2)
         g.add_c2p(100, 10)
-        tree = propagate_policy_routes(
+        tree = propagate(
             g, 100, RoutingPolicy.build(down_edges=[(10, 1)])
         )
         # AS1 can no longer hear 100 from its customer 10; the peer AS2
@@ -218,7 +208,7 @@ class TestPolicyMechanics:
         g.add_c2p(4, 1)
         g.add_c2p(5, 2)
         policy = RoutingPolicy.build(hijacks={4: [5]})
-        tree = propagate_policy_routes(g, 4, policy)
+        tree = propagate(g, 4, policy)
         # Each tier-1 prefers its own customer's announcement.
         assert tree.path_from(1) == (1, 4)
         assert tree.path_from(2) == (2, 5)
@@ -227,18 +217,19 @@ class TestPolicyMechanics:
 
     def test_hijacker_not_in_graph_is_ignored(self):
         graph = leak_quad()
-        tree = propagate_policy_routes(
+        tree = propagate(
             graph, 4, RoutingPolicy.build(hijacks={4: [999]})
         )
-        oracle = propagate_routes(graph, 4)
+        oracle = propagate(graph, 4)
         assert all(tree.path_from(a) == oracle.path_from(a) for a in graph.asns)
 
-    def test_cache_computes_each_origin_once(self):
-        cache = PolicyRoutingCache(leak_quad(), RoutingPolicy.build(leakers=[3]))
-        first = cache.tree(4)
-        assert cache.tree(4) is first
-        assert len(cache) == 1
-        assert cache.policy.leakers == (3,)
+    def test_collector_computes_each_origin_once(self):
+        collector = _leak_collector(RoutingPolicy.build(leakers=[3]))
+        first = collector.paths_to(4)
+        assert collector.paths_to(4) == first
+        assert collector.trees_computed() == 1
+        assert collector._kernel.trees_built == 1
+        assert collector.policy.leakers == (3,)
 
 
 def _leak_collector(policy=None):
@@ -247,7 +238,7 @@ def _leak_collector(policy=None):
 
 
 class TestCollectorPolicy:
-    def test_default_is_static_oracle(self):
+    def test_default_is_no_policy(self):
         collector = _leak_collector()
         assert collector.policy is None
 
@@ -256,11 +247,11 @@ class TestCollectorPolicy:
         assert _leak_collector().paths_to(4)["m0"] == (2, 1, 4)
         assert _leak_collector(leak).paths_to(4)["m0"] == (2, 3, 1, 4)
 
-    def test_neutral_policy_observes_oracle_paths(self):
-        static = _leak_collector()
+    def test_neutral_policy_observes_default_paths(self):
+        default = _leak_collector()
         neutral = _leak_collector(NEUTRAL_POLICY)
         for origin in (1, 2, 3, 4):
-            assert neutral.paths_to(origin) == static.paths_to(origin)
+            assert neutral.paths_to(origin) == default.paths_to(origin)
 
     def test_pickle_preserves_policy(self):
         leak = RoutingPolicy.build(leakers=[3])
@@ -282,7 +273,7 @@ class TestCollectorPolicy:
         for origin in (1, 2, 3, 4):
             assert rebuilt.paths_to(origin) == original.paths_to(origin)
 
-    def test_shm_rebuild_without_policy_stays_static(self):
+    def test_shm_rebuild_without_policy_stays_neutral(self):
         original = _leak_collector()
         meta, buffers = original.__shm_export__()
         rebuilt = RouteCollector.__shm_rebuild__(
@@ -302,8 +293,8 @@ def _policy_cti_scenario(policy=_CTI_POLICY):
     """Two toy countries behind gateways, scored under a non-neutral policy.
 
     The leak (AS12) and the depeered adjacency (1~3) both reroute monitor
-    paths, so the scores genuinely exercise the policy engine rather than
-    coinciding with the static trees.
+    paths, so the scores genuinely exercise the policy rather than
+    coinciding with the neutral trees.
     """
     graph = ASGraph()
     graph.add_p2p(1, 2)
@@ -349,12 +340,12 @@ def _policy_cti_scenario(policy=_CTI_POLICY):
     return CTIComputer(Prefix2ASTable(entries), geo, collector)
 
 
-def _policy_scores(backend=None, jobs=1, policy=_CTI_POLICY):
+def _policy_scores(jobs=None, policy=_CTI_POLICY):
     cti = _policy_cti_scenario(policy)
-    if backend is None:
+    if jobs is None:
         cti.score_countries(_CTI_CCS)
     else:
-        with ExecutionContext(jobs=jobs, backend=backend) as context:
+        with ExecutionContext(jobs=jobs) as context:
             cti.score_countries(_CTI_CCS, context=context)
     return {cc: cti.country_cti(cc) for cc in _CTI_CCS}
 
@@ -365,26 +356,21 @@ class TestPropagatedCTIByteIdentity:
         # otherwise byte-identity across backends would be vacuous.
         assert _policy_scores() != _policy_scores(policy=None)
 
-    def test_serial_thread_process_bit_identical(self):
+    def test_serial_process_bit_identical(self):
         serial = _policy_scores()
-        threaded = _policy_scores(backend="thread", jobs=2)
-        forked = _policy_scores(backend="process", jobs=2)
-        # Exact float equality — not approx: every backend must make the
+        forked = _policy_scores(jobs=2)
+        # Exact float equality — not approx: both backends must make the
         # same additions in the same order on the same policy paths.
-        assert serial == threaded
         assert serial == forked
 
 
 class TestKernelOracleEquivalence:
-    """The flat-array kernel IS both retained oracles, feature by feature.
+    """The flat-array kernel IS the oracle, feature by feature.
 
-    ``propagate_routes`` / ``propagate_policy_routes`` now delegate to
-    :class:`~repro.net.propagation.PropagationKernel`, so the neutral
-    50-seed suite above compares kernel to kernel.  This suite pins the
-    kernel against the retained ``_reference_*`` tree builders explicitly
-    — static and policy-aware — under every policy feature the engine
-    supports, and proves buffer reuse inside one kernel never bleeds
-    state between origins.
+    This suite pins :class:`~repro.net.propagation.PropagationKernel`
+    against ``reference_propagate`` with no policy and under every policy
+    feature the kernel supports, and proves buffer reuse inside one
+    kernel never bleeds state between origins.
     """
 
     @staticmethod
@@ -420,7 +406,7 @@ class TestKernelOracleEquivalence:
         ]
 
     @pytest.mark.parametrize("seed", range(50))
-    def test_kernel_matches_static_oracle(self, seed):
+    def test_kernel_matches_oracle_without_policy(self, seed):
         rng = random.Random(7000 + seed)
         graph = random_valley_free_graph(rng)
         kernel = PropagationKernel(graph)
@@ -428,7 +414,7 @@ class TestKernelOracleEquivalence:
             self._assert_same_tree(
                 graph,
                 kernel.propagate(origin),
-                _reference_propagate_routes(graph, origin),
+                reference_propagate(graph, origin),
             )
 
     @pytest.mark.parametrize("seed", range(50))
@@ -442,7 +428,7 @@ class TestKernelOracleEquivalence:
                 self._assert_same_tree(
                     graph,
                     kernel.propagate(origin),
-                    _reference_propagate_policy_routes(graph, origin, policy),
+                    reference_propagate(graph, origin, policy),
                 )
 
     def test_buffer_reuse_does_not_bleed_between_origins(self):
@@ -476,11 +462,15 @@ class TestKernelOracleEquivalence:
         }
         assert after == snapshot
 
-    def test_kernel_is_reused_by_both_caches(self):
+    def test_each_collector_reuses_one_kernel(self):
         graph = leak_quad()
-        static_cache = RoutingTreeCache(graph)
-        static_cache.tree(4)
-        policy_cache = PolicyRoutingCache(graph, RoutingPolicy.build(leakers=[3]))
-        policy_cache.tree(4)
-        assert static_cache.tree(4).path_from(2) == (2, 1, 4)
-        assert policy_cache.tree(4).path_from(2) == (2, 3, 1, 4)
+        monitors = MonitorSet([Monitor("m0", 2)])
+        neutral = RouteCollector(graph, monitors)
+        leaky = RouteCollector(graph, monitors, RoutingPolicy.build(leakers=[3]))
+        for origin in (1, 4, 4):
+            neutral.paths_to(origin)
+            leaky.paths_to(origin)
+        assert neutral._kernel is not leaky._kernel
+        assert neutral._kernel.trees_built == leaky._kernel.trees_built == 2
+        assert neutral.paths_to(4)["m0"] == (2, 1, 4)
+        assert leaky.paths_to(4)["m0"] == (2, 3, 1, 4)

@@ -67,12 +67,11 @@ class TestUnifiedJobsValidation:
 
 # -- tentpole: persistent pool ----------------------------------------------
 class TestPoolReuse:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_exactly_one_pool_across_maps(self, backend):
+    def test_exactly_one_pool_across_maps(self):
         metrics = get_metrics()
         spawns = metrics.counter("parallel.pool_spawns")
         reuses = metrics.counter("parallel.pool_reuse")
-        with ExecutionContext(jobs=2, backend=backend) as context:
+        with ExecutionContext(jobs=2) as context:
             for _ in range(3):
                 assert context.map_ordered(_add, [1, 2, 3], state=10) == [
                     11,
@@ -85,18 +84,18 @@ class TestPoolReuse:
     def test_serial_backend_spawns_nothing(self):
         metrics = get_metrics()
         spawns = metrics.counter("parallel.pool_spawns")
-        with ExecutionContext(jobs=1, backend="serial") as context:
+        with ExecutionContext(jobs=1) as context:
             context.map_ordered(_add, [1, 2], state=0)
         assert metrics.counter("parallel.pool_spawns") == spawns
 
     def test_closed_runtime_rejects_work(self):
-        runtime = WorkerRuntime(jobs=2, backend="process")
+        runtime = WorkerRuntime(jobs=2)
         runtime.close()
         with pytest.raises(ConfigError):
             runtime._ensure_process_pool()
 
     def test_close_is_idempotent(self):
-        context = ExecutionContext(jobs=2, backend="thread")
+        context = ExecutionContext(jobs=2)
         context.map_ordered(_add, [1], state=0)
         context.close()
         context.close()
@@ -106,7 +105,7 @@ class TestPoolReuse:
 class TestStateShipping:
     def test_registered_state_ships_once(self):
         metrics = get_metrics()
-        with ExecutionContext(jobs=2, backend="process") as context:
+        with ExecutionContext(jobs=2) as context:
             handle = context.register({"base": 100})
             ships = metrics.counter("parallel.state_ships")
             first = context.map_ordered(_lookup, [1, 2], state=handle)
@@ -117,7 +116,7 @@ class TestStateShipping:
     def test_raw_state_auto_registered_by_identity(self):
         metrics = get_metrics()
         state = {"base": 7}
-        with ExecutionContext(jobs=2, backend="process") as context:
+        with ExecutionContext(jobs=2) as context:
             ships = metrics.counter("parallel.state_ships")
             context.map_ordered(_lookup, [1], state=state)
             context.map_ordered(_lookup, [2], state=state)
@@ -125,7 +124,7 @@ class TestStateShipping:
 
     def test_late_registration_broadcasts_without_respawn(self):
         metrics = get_metrics()
-        with ExecutionContext(jobs=2, backend="process") as context:
+        with ExecutionContext(jobs=2) as context:
             context.map_ordered(_square, list(range(4)))  # spawns the pool
             spawns = metrics.counter("parallel.pool_spawns")
             handle = context.register({"base": 50})
@@ -133,14 +132,13 @@ class TestStateShipping:
         assert result == [51, 52]
         assert metrics.counter("parallel.pool_spawns") == spawns
 
-    def test_handle_resolves_on_serial_and_thread(self):
-        for backend, jobs in (("serial", 1), ("thread", 2)):
-            with ExecutionContext(jobs=jobs, backend=backend) as context:
-                handle = context.register({"base": 5})
-                assert context.map_ordered(_lookup, [1], state=handle) == [6]
+    def test_handle_resolves_on_serial(self):
+        with ExecutionContext(jobs=1) as context:
+            handle = context.register({"base": 5})
+            assert context.map_ordered(_lookup, [1], state=handle) == [6]
 
     def test_unknown_handle_is_a_config_error(self):
-        with ExecutionContext(jobs=1, backend="serial") as context:
+        with ExecutionContext(jobs=1) as context:
             with pytest.raises(ConfigError):
                 context.map_ordered(_lookup, [1], state=StateHandle("state#999"))
 
@@ -156,7 +154,7 @@ class TestCrashRequeueOnReusedPool:
         clear_fault_plan()
         metrics = get_metrics()
         try:
-            with ExecutionContext(jobs=2, backend="process") as context:
+            with ExecutionContext(jobs=2) as context:
                 clean = context.map_ordered(
                     _square, list(range(8)), label="calm", chunksize=2
                 )
@@ -210,13 +208,12 @@ class TestParallelWorldGeneration:
     def serial_snapshot(self):
         return _world_snapshot(WorldGenerator(WorldConfig.tiny()).generate())
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_parallel_worlds_match_serial_exactly(self, backend, serial_snapshot):
-        with ExecutionContext(jobs=2, backend=backend) as context:
+    def test_parallel_worlds_match_serial_exactly(self, serial_snapshot):
+        with ExecutionContext(jobs=2) as context:
             world = WorldGenerator(WorldConfig.tiny(), context=context).generate()
         snapshot = _world_snapshot(world)
         for key, expected in serial_snapshot.items():
-            assert snapshot[key] == expected, f"{backend} mismatch in {key}"
+            assert snapshot[key] == expected, f"process mismatch in {key}"
 
     def test_generation_metrics_flow(self):
         metrics = get_metrics()

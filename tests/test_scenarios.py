@@ -1,7 +1,8 @@
 """Tests for the adversarial scenario-pack library.
 
 The expensive part — a full matrix run over the tiny world — happens once
-in a module-scoped fixture; the assertions then slice that one report.
+in the session-scoped ``scenario_report`` fixture (``conftest.py``); the
+assertions then slice that one report.
 Cross-run determinism is checked by re-running a single pack and demanding
 its outcome dict match the full-matrix run key for key, value for value
 (same seed derivation, same plan, same floats).  The CI ``scenario-smoke``
@@ -22,12 +23,6 @@ from repro.world.scenarios import (
     all_pack_names,
     run_scenario_packs,
 )
-
-
-@pytest.fixture(scope="module")
-def full_report(tiny_world):
-    """One full scenario-matrix run, shared by every assertion below."""
-    return run_scenario_packs(tiny_world)
 
 
 class TestRegistry:
@@ -72,61 +67,61 @@ class TestRebuildGraph:
         assert set(new.peers_of(2)) == {1}
 
     def test_noop_rebuild_routes_identically(self):
-        from repro.net.bgp import propagate_routes
+        from repro.net.propagation import propagate
 
         old = self._old()
         new = _rebuild_graph(old, set(), [])
         for origin in old.asns:
-            a = propagate_routes(old, origin)
-            b = propagate_routes(new, origin)
+            a = propagate(old, origin)
+            b = propagate(new, origin)
             assert all(a.path_from(x) == b.path_from(x) for x in old.asns)
 
 
 class TestFullMatrix:
-    def test_every_pack_passes_on_tiny_world(self, full_report):
-        failing = [o.name for o in full_report.outcomes if not o.passed]
-        assert full_report.passed, f"failing packs: {failing}"
-        assert len(full_report.outcomes) == len(SCENARIO_PACKS)
+    def test_every_pack_passes_on_tiny_world(self, scenario_report):
+        failing = [o.name for o in scenario_report.outcomes if not o.passed]
+        assert scenario_report.passed, f"failing packs: {failing}"
+        assert len(scenario_report.outcomes) == len(SCENARIO_PACKS)
 
-    def test_assertions_carry_evidence(self, full_report):
-        for outcome in full_report.outcomes:
+    def test_assertions_carry_evidence(self, scenario_report):
+        for outcome in scenario_report.outcomes:
             assert outcome.assertions
             for assertion in outcome.assertions:
                 assert assertion.name
                 assert assertion.detail
 
-    def test_report_dict_shape(self, full_report, tiny_world):
-        data = full_report.as_dict()
+    def test_report_dict_shape(self, scenario_report, tiny_world):
+        data = scenario_report.as_dict()
         assert data["seed"] == tiny_world.config.seed
         assert data["scale"] == tiny_world.config.scale
         assert data["packs_total"] == len(SCENARIO_PACKS)
         assert data["packs_passed"] == len(SCENARIO_PACKS)
         assert set(data["packs"]) == set(all_pack_names())
 
-    def test_json_is_canonical(self, full_report):
-        text = full_report.to_json()
+    def test_json_is_canonical(self, scenario_report):
+        text = scenario_report.to_json()
         assert text.endswith("\n")
         parsed = json.loads(text)
-        assert parsed == full_report.as_dict()
+        assert parsed == scenario_report.as_dict()
         # Canonical form: re-encoding the parsed dict reproduces the text.
         assert (json.dumps(parsed, sort_keys=True, indent=2) + "\n" == text)
 
-    def test_text_rendering(self, full_report):
-        text = full_report.as_text()
+    def test_text_rendering(self, scenario_report):
+        text = scenario_report.as_text()
         assert "[PASS]" in text
         assert f"{len(SCENARIO_PACKS)}/{len(SCENARIO_PACKS)} packs passed" in text
 
-    def test_baseline_world_not_mutated(self, full_report, tiny_world):
+    def test_baseline_world_not_mutated(self, scenario_report, tiny_world):
         # Packs perturb deep copies; the shared fixture world must come
         # out of a full matrix run untouched.
-        for outcome in full_report.outcomes:
+        for outcome in scenario_report.outcomes:
             assert outcome.baseline["truth_asns"] == sorted(
                 tiny_world.ground_truth_asns()
             )
         assert tiny_world.routing_policy is None
 
-    def test_degraded_pack_rode_the_fault_plan(self, full_report):
-        by_name = {o.name: o for o in full_report.outcomes}
+    def test_degraded_pack_rode_the_fault_plan(self, scenario_report):
+        by_name = {o.name: o for o in scenario_report.outcomes}
         degraded = by_name["route_leak_degraded"]
         assert degraded.perturbed["degraded_sources"] == ["O"]
         # ...and the fault plan must not leak into sibling packs.
@@ -134,13 +129,13 @@ class TestFullMatrix:
 
 
 class TestDeterminism:
-    def test_single_pack_rerun_matches_matrix_run(self, full_report, tiny_world):
+    def test_single_pack_rerun_matches_matrix_run(self, scenario_report, tiny_world):
         """An independent run of one pack reproduces the full-matrix
         outcome exactly — every float, every sorted list, every detail
         string — because pack randomness derives from (world seed, pack
         name) alone."""
         solo = run_scenario_packs(tiny_world, names=["route_leak"])
-        matrix = next(o for o in full_report.outcomes if o.name == "route_leak")
+        matrix = next(o for o in scenario_report.outcomes if o.name == "route_leak")
         assert solo.outcomes[0].as_dict() == matrix.as_dict()
         assert json.dumps(
             solo.outcomes[0].as_dict(), sort_keys=True

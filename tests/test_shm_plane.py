@@ -152,7 +152,7 @@ class TestPlaneLifecycle:
         collector = _diamond_collector()
         pairs = [(m, o) for m in collector.monitors for o in (100, 101)]
         for _ in range(3):
-            with ExecutionContext(jobs=2, backend="process") as context:
+            with ExecutionContext(jobs=2) as context:
                 context.map_ordered(_paths, pairs, state=collector)
         leaked = {
             name
@@ -168,19 +168,18 @@ class TestRuntimeIntegration:
         collector = _diamond_collector()
         pairs = [(m, o) for m in collector.monitors for o in (100, 101)]
         segments = metrics.counter("runtime.shm_segments")
-        with ExecutionContext(jobs=2, backend="process") as context:
+        with ExecutionContext(jobs=2) as context:
             parallel = context.map_ordered(_paths, pairs, state=collector)
         assert metrics.counter("runtime.shm_segments") - segments == 1
         serial = [_paths(collector, pair) for pair in pairs]
         assert parallel == serial
 
-    @pytest.mark.parametrize("backend,jobs", [("serial", 1), ("thread", 2)])
-    def test_non_process_backends_bypass_shm(self, backend, jobs):
+    def test_serial_backend_bypasses_shm(self):
         metrics = get_metrics()
         collector = _diamond_collector()
         pairs = [(m, o) for m in collector.monitors for o in (100, 101)]
         segments = metrics.counter("runtime.shm_segments")
-        with ExecutionContext(jobs=jobs, backend=backend) as context:
+        with ExecutionContext(jobs=1) as context:
             result = context.map_ordered(_paths, pairs, state=collector)
         assert metrics.counter("runtime.shm_segments") == segments
         assert result == [_paths(collector, pair) for pair in pairs]
@@ -276,7 +275,7 @@ class TestResultPlane:
         metrics = get_metrics()
         sizes = [3, 0, 17, 64, 5]
         adopted = metrics.counter("runtime.shm_adopted")
-        with ExecutionContext(jobs=2, backend="process") as context:
+        with ExecutionContext(jobs=2) as context:
             results = context.map_ordered(
                 _grow_columns, sizes, chunksize=2, shm_results=True
             )
@@ -295,25 +294,15 @@ class TestResultPlane:
     def test_non_shareable_results_pass_through(self):
         metrics = get_metrics()
         adopted = metrics.counter("runtime.shm_adopted")
-        with ExecutionContext(jobs=2, backend="process") as context:
+        with ExecutionContext(jobs=2) as context:
             results = context.map_ordered(_square, [1, 2, 3, 4], shm_results=True)
         assert results == [1, 4, 9, 16]
         assert metrics.counter("runtime.shm_adopted") == adopted
 
-    def test_env_gate_disables_result_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_RESULTS", "0")
+    def test_serial_backend_returns_objects_directly(self):
         metrics = get_metrics()
         adopted = metrics.counter("runtime.shm_adopted")
-        with ExecutionContext(jobs=2, backend="process") as context:
-            results = context.map_ordered(_grow_columns, [4, 9], shm_results=True)
-        assert metrics.counter("runtime.shm_adopted") == adopted
-        assert [list(col.ids) for col in results] == [[0, 1, 2, 3], list(range(9))]
-
-    @pytest.mark.parametrize("backend,jobs", [("serial", 1), ("thread", 2)])
-    def test_non_process_backends_return_objects_directly(self, backend, jobs):
-        metrics = get_metrics()
-        adopted = metrics.counter("runtime.shm_adopted")
-        with ExecutionContext(jobs=jobs, backend=backend) as context:
+        with ExecutionContext(jobs=1) as context:
             results = context.map_ordered(_grow_columns, [6], shm_results=True)
         assert metrics.counter("runtime.shm_adopted") == adopted
         assert list(results[0].ids) == list(range(6))
@@ -324,7 +313,7 @@ class TestResultPlane:
     def test_result_segments_never_leak(self):
         before = set(os.listdir("/dev/shm"))
         for _ in range(2):
-            with ExecutionContext(jobs=2, backend="process") as context:
+            with ExecutionContext(jobs=2) as context:
                 context.map_ordered(_grow_columns, [8, 2, 11], shm_results=True)
         leaked = {
             name
