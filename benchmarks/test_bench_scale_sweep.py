@@ -1,13 +1,13 @@
 """Scale-sweep wall-time curve for the zero-copy state plane.
 
 For each scale in ``REPRO_BENCH_SWEEP`` (default ``1,3,10``) this builds a
-world on the process backend and scores CTI for every transit-dominant
-country through the shared-memory runtime — the end-to-end "build and
-score" path the shm plane exists for.  Per scale it records the build
-wall time, the CTI scoring wall time (sharded fan-out, collector shipped
-as one shared segment), the shared-segment byte volume, and the
-coordinator's peak RSS, appending the curve to ``BENCH_scale.json`` under
-``REPRO_BENCH_RECORD=1``.
+world (serially, as every caller does) and scores CTI for every
+transit-dominant country through the shared-memory runtime on the process
+backend — the end-to-end "build and score" path the shm plane exists
+for.  Per scale it records the build wall time, the CTI scoring wall
+time (sharded fan-out, collector shipped as one shared segment), the
+shared-segment byte volume, and the coordinator's peak RSS, appending
+the curve to ``BENCH_scale.json`` under ``REPRO_BENCH_RECORD=1``.
 
 Serial/parallel equivalence at every scale is asserted on a sample
 country rather than re-scoring the whole sweep twice: the sampled score
@@ -50,12 +50,10 @@ def test_bench_scale_sweep(benchmark, scale):
 
     def build_and_score():
         timings = {}
+        started = time.perf_counter()
+        world = WorldGenerator(WorldConfig(seed=BENCH_SEED, scale=scale)).generate()
+        timings["build_s"] = time.perf_counter() - started
         with ExecutionContext(jobs=_JOBS) as context:
-            started = time.perf_counter()
-            world = WorldGenerator(
-                WorldConfig(seed=BENCH_SEED, scale=scale), context=context
-            ).generate()
-            timings["build_s"] = time.perf_counter() - started
 
             from repro.core import PipelineInputs
 

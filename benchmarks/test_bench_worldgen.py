@@ -1,54 +1,36 @@
-"""World-generation benchmarks: serial vs fanned-out vs cached.
+"""World-generation benchmarks: generated vs cached.
 
-Three single-round measurements of building the same world:
+Two single-round measurements of obtaining the same world:
 
-* the serial baseline,
-* the parallel build (per-country planning phases fanned through a
-  run-scoped worker runtime on the process backend), and
-* the warm blob-cache load (the pickled world served from disk, keyed by
-  its config fingerprint — what warm ``run``/``report``/``validate``
-  invocations pay instead of generating).
+* the generation baseline (world generation always runs serially), and
+* the warm blob-cache load through :func:`~repro.world.worldcache.
+  load_or_generate`, against a cache that same function warmed — the
+  key, digest check and unpickle that warm ``run``/``report``/
+  ``validate`` invocations pay instead of generating.
 
-The parallel world must stay bit-identical to the serial one, so the
-parallel benchmark asserts record-level equality rather than trusting the
-fan-out.  ``extra_info`` carries the pool-lifecycle counters
-(``parallel.pool_spawns`` / ``pool_reuse`` / ``state_ships``) so exported
-``BENCH_*.json`` files show the single-pool guarantee holding under load.
+``BENCH_worldgen.json`` also holds a ``worldgen_parallel`` series from
+when generation could fan out; it is kept as history and gets no new
+records.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 
 from _record import append_record, mean_seconds
 
 from repro.config import WorldConfig
 from repro.obs import get_metrics
-from repro.parallel import ExecutionContext, ResultCache, world_fingerprint
+from repro.parallel import ResultCache
 from repro.world.generator import WorldGenerator
+from repro.world.worldcache import load_or_generate
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "20210701"))
 
-# Floor of 2 so the single-pool/pickle-once machinery is exercised even on
-# single-core CI runners (where the fan-out yields no wall-time win).
-_PARALLEL_JOBS = max(2, min(4, os.cpu_count() or 1))
-
 
 def _config() -> WorldConfig:
     return WorldConfig(seed=BENCH_SEED, scale=BENCH_SCALE)
-
-
-def _signature(world):
-    """A cheap record-level identity signature of a generated world."""
-    return (
-        list(world.asn_records),
-        world.operator_asns,
-        world.graph.num_edges(),
-        world.gateway_asns,
-        [(m.monitor_id, m.host_asn) for m in world.monitors],
-    )
 
 
 def test_bench_worldgen_serial(benchmark):
@@ -68,61 +50,19 @@ def test_bench_worldgen_serial(benchmark):
     )
 
 
-def test_bench_worldgen_parallel(benchmark):
-    serial_signature = _signature(WorldGenerator(_config()).generate())
-    metrics = get_metrics()
-    spawns = metrics.counter("parallel.pool_spawns")
-    reuses = metrics.counter("parallel.pool_reuse")
-    ships = metrics.counter("parallel.state_ships")
-
-    def build():
-        with ExecutionContext(jobs=_PARALLEL_JOBS) as context:
-            return WorldGenerator(_config(), context=context).generate()
-
-    world = benchmark.pedantic(build, rounds=1, iterations=1)
-    benchmark.extra_info["jobs"] = _PARALLEL_JOBS
-    benchmark.extra_info["backend"] = "process"
-    benchmark.extra_info["pool_spawns"] = (
-        metrics.counter("parallel.pool_spawns") - spawns
-    )
-    benchmark.extra_info["pool_reuse"] = metrics.counter("parallel.pool_reuse") - reuses
-    benchmark.extra_info["state_ships"] = (
-        metrics.counter("parallel.state_ships") - ships
-    )
-    assert benchmark.extra_info["pool_spawns"] == 1
-    assert _signature(world) == serial_signature
-    append_record(
-        "worldgen",
-        "worldgen_parallel",
-        tracked={"wall_s": mean_seconds(benchmark)},
-        context={
-            "scale": BENCH_SCALE,
-            "seed": BENCH_SEED,
-            "jobs": _PARALLEL_JOBS,
-        },
-        asns=len(world.asn_records),
-    )
-
-
 def test_bench_worldgen_cached(benchmark, tmp_path_factory):
     cache = ResultCache(tmp_path_factory.mktemp("repro-world-cache"))
     config = _config()
-    key = world_fingerprint(config)
-    cache.put_blob(
-        "world",
-        key,
-        pickle.dumps(
-            WorldGenerator(config).generate(),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        ),
+    generated = load_or_generate(config, cache)
+    metrics = get_metrics()
+    generations = metrics.counter("world.gen.countries")
+
+    world = benchmark.pedantic(
+        lambda: load_or_generate(config, cache), rounds=1, iterations=1
     )
-
-    def load():
-        return pickle.loads(cache.get_blob("world", key))
-
-    world = benchmark.pedantic(load, rounds=1, iterations=1)
     benchmark.extra_info["cache"] = "warm"
-    assert world.asn_records
+    assert metrics.counter("world.gen.countries") == generations  # a load
+    assert world.content_digest() == generated.content_digest()
     append_record(
         "worldgen",
         "worldgen_cached",

@@ -303,18 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_world(
-    args: argparse.Namespace,
-    cache: Optional[ResultCache] = None,
-    context: Optional[ExecutionContext] = None,
-):
+def _make_world(args: argparse.Namespace, cache: Optional[ResultCache] = None):
     """Generate (or load from the blob cache) the configured world.
 
     Delegates to :func:`repro.world.worldcache.load_or_generate`, the
     shared load-or-generate path also used by the test fixtures and CI.
     """
     config = WorldConfig(seed=args.seed, scale=args.scale)
-    return load_or_generate(config, cache=cache, context=context)
+    return load_or_generate(config, cache=cache)
 
 
 def _run_pipeline(
@@ -347,7 +343,6 @@ _SUMMARY_COUNTERS = (
     "runtime.state_bytes",
     "runtime.shm_bytes",
     "runtime.shm_segments",
-    "runtime.shm_adopted",
     "runtime.attach",
     "cti.country_shards",
     "cti.terms_released",
@@ -470,10 +465,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         cache = ResultCache(parallel.cache_dir) if parallel.cache_dir else None
-        # One execution context (and therefore one worker pool) serves the
-        # whole invocation: world generation and all pipeline stages.
+        # One execution context (and therefore one worker pool) serves
+        # every pipeline stage; world generation runs serially.
         with ExecutionContext(jobs=parallel.jobs) as context:
-            world = _make_world(args, cache=cache, context=context)
+            world = _make_world(args, cache=cache)
             try:
                 inputs, result = _run_pipeline(world, parallel, resilience, context)
             except ReproError as exc:
@@ -642,7 +637,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             return 2
         cache = ResultCache(parallel.cache_dir) if parallel.cache_dir else None
         with ExecutionContext(jobs=parallel.jobs) as context:
-            world = _make_world(args, cache=cache, context=context)
+            world = _make_world(args, cache=cache)
             try:
                 report = run_maintenance(
                     world,
@@ -685,9 +680,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         cache = ResultCache(parallel.cache_dir) if parallel.cache_dir else None
         with ExecutionContext(jobs=parallel.jobs) as context:
             world = load_or_generate(
-                WorldConfig(seed=args.seed, scale=args.scale),
-                cache=cache,
-                context=context,
+                WorldConfig(seed=args.seed, scale=args.scale), cache=cache
             )
             try:
                 report = run_scenario_packs(

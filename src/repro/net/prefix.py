@@ -32,7 +32,6 @@ __all__ = [
     "PrefixTrie",
     "summarize_address_counts",
     "sweep_uncovered_counts",
-    "sweep_cut_points",
 ]
 
 _MAX = 2**32
@@ -366,12 +365,7 @@ class PrefixTrie(Generic[V]):
         return prefix.num_addresses - covered
 
 
-def sweep_uncovered_counts(
-    bases: "array",
-    lengths: "array",
-    start: int = 0,
-    stop: Optional[int] = None,
-) -> "array":
+def sweep_uncovered_counts(bases: "array", lengths: "array") -> "array":
     """``a(p, C)`` for a (base, length)-sorted prefix table, no trie.
 
     One linear stack sweep over the sorted columns replaces the trie build
@@ -383,15 +377,9 @@ def sweep_uncovered_counts(
     its span" rule), and its own uncovered count is its span minus what its
     maximal stored descendants charged it.  Duplicate (base, length) rows
     (one trie node, several table rows) replay the first row's count.
-
-    ``[start, stop)`` must begin and end at points where no earlier prefix
-    spans across (see :func:`sweep_cut_points`), which is what makes the
-    sweep embarrassingly parallel; the default sweeps the whole table.
     Returns an ``array('q')`` of uncovered counts in row order.
     """
-    if stop is None:
-        stop = len(bases)
-    out = array("q", bytes(8 * (stop - start)))
+    out = array("q", bytes(8 * len(bases)))
     # Parallel stacks of the currently-open ancestor chain.
     st_end: List[int] = []  # last covered address
     st_span: List[int] = []  # full span
@@ -401,11 +389,11 @@ def sweep_uncovered_counts(
     # (the first occurrence's slot is only final once it pops off the stack).
     aliases: List[Tuple[int, int]] = []
     prev_base = prev_length = prev_slot = -1
-    for i in range(start, stop):
+    for i in range(len(bases)):
         base = bases[i]
         length = lengths[i]
         if base == prev_base and length == prev_length:
-            aliases.append((i - start, prev_slot))
+            aliases.append((i, prev_slot))
             continue
         while st_end and st_end[-1] < base:
             st_end.pop()
@@ -416,9 +404,9 @@ def sweep_uncovered_counts(
         span = 1 << (32 - length)
         st_end.append(base + span - 1)
         st_span.append(span)
-        st_out.append(i - start)
+        st_out.append(i)
         st_cov.append(0)
-        prev_base, prev_length, prev_slot = base, length, i - start
+        prev_base, prev_length, prev_slot = base, length, i
     while st_end:
         st_end.pop()
         span = st_span.pop()
@@ -428,38 +416,6 @@ def sweep_uncovered_counts(
     for dup_slot, first_slot in aliases:
         out[dup_slot] = out[first_slot]
     return out
-
-
-def sweep_cut_points(bases: "array", lengths: "array", parts: int) -> List[int]:
-    """Split a sorted prefix table into independently sweepable ranges.
-
-    A row index is a valid cut when no earlier prefix's span crosses it
-    (the ancestor stack is provably empty there), so each returned range
-    can be swept by :func:`sweep_uncovered_counts` with no shared state.
-    Returns ``parts + 1`` (or fewer) boundaries starting at 0 and ending
-    at ``len(bases)``; in Internet-like tables the cuts land between the
-    per-RIR address blocks.
-    """
-    n = len(bases)
-    if parts <= 1 or n == 0:
-        return [0, n]
-    cuts: List[int] = []
-    max_end = -1
-    for i in range(n):
-        base = bases[i]
-        if base > max_end:
-            cuts.append(i)
-        end = base + (1 << (32 - lengths[i])) - 1
-        if end > max_end:
-            max_end = end
-    target = max(1, n // parts)
-    bounds = [0]
-    for cut in cuts:
-        if cut - bounds[-1] >= target and cut < n:
-            bounds.append(cut)
-    if bounds[-1] != n:
-        bounds.append(n)
-    return bounds
 
 
 def summarize_address_counts(prefixes: Iterable[Tuple[Prefix, V]]) -> Dict[V, int]:

@@ -30,11 +30,12 @@ as ``cache.bytes_read`` / ``cache.bytes_written``.
 Besides JSON entries the cache stores opaque **blobs**
 (``get_blob``/``put_blob``, ``<root>/<section>/<key>.bin``) for payloads
 that are not JSON-friendly — notably the pickled generated world, keyed by
-its :func:`world_fingerprint`, which lets a warm ``run``/``report``/
-``validate`` skip world generation entirely.  Blobs carry a magic header
-plus a SHA-256 digest of the payload; any mismatch (truncation, bit rot,
-injected ``corrupt``/``truncate`` faults) is treated as a miss and the
-entry evicted, exactly like a corrupt JSON entry.
+:func:`repro.world.worldcache.world_cache_key`, which lets a warm
+``run``/``report``/``validate`` skip world generation entirely.  Blobs
+carry a magic header plus a SHA-256 digest of the payload; any mismatch
+(truncation, bit rot, injected ``corrupt``/``truncate`` faults) is
+treated as a miss and the entry evicted, exactly like a corrupt JSON
+entry.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ honor it exactly:
 The worker count decides the backend: one job runs serially, more run on
 the process pool.  Contexts are context managers; ``close()`` shuts the
 runtime's pool down.  The pipeline closes the contexts it creates itself
-and leaves injected ones (CLI-owned, shared across world generation and
-the pipeline) alone.
+and leaves injected ones (CLI-owned, shared by every pipeline stage of
+one invocation) alone.
 
 Worker counts and task counts flow into the process-global metrics registry
 as ``parallel.jobs`` (gauge) and ``parallel.tasks`` (counter); pool
@@ -150,20 +150,12 @@ class ExecutionContext:
         state: S = None,
         chunksize: Optional[int] = None,
         label: str = "map",
-        shm_results: bool = False,
     ) -> List[R]:
         """Apply ``fn(state, item)`` to every item; results in input order.
 
         ``state`` may be a raw object or a :class:`StateHandle` from
         :meth:`register`.  On the process backend either way ships the
         object to each worker at most once per run.
-
-        ``shm_results`` opts heavy *results* into the shared-memory return
-        path on the process backend: workers export each shareable result
-        into a segment (:func:`~repro.parallel.shm.export_result`) and only
-        the name card crosses the pipe; the runtime adopts the segments
-        during the ordered merge.  The serial backend returns the objects
-        directly (no pickling happens there anyway).
         """
         items = list(items)
         metrics = get_metrics()
@@ -195,7 +187,7 @@ class ExecutionContext:
                 for start in range(0, len(items), chunksize)
             ]
             return self.runtime.process_map(
-                fn, chunks, self._state_ref(state), site, sp, shm_results=shm_results
+                fn, chunks, self._state_ref(state), site, sp
             )
 
     def _state_ref(self, state):

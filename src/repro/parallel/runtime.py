@@ -10,7 +10,7 @@ amortizes both:
 * **Persistent pool** — the first parallel map spawns the pool
   (``parallel.pool_spawns``); every later map reuses it
   (``parallel.pool_reuse``).  The pool survives across fan-out sites,
-  world generation included, so a full ``run`` creates exactly one.
+  so a full ``run`` creates exactly one.
 * **Handle-based shared-state plane** — heavy read-only objects are
   registered once (``runtime.register(state) -> StateHandle``) and shipped
   to the workers a single time (``parallel.state_ships``).  Subsequent
@@ -56,13 +56,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, WorkerCrashError
 from repro.obs import get_metrics
-from repro.parallel.shm import (
-    SharedStatePlane,
-    ShmRef,
-    attach_ref,
-    export_result,
-    is_shareable,
-)
+from repro.parallel.shm import SharedStatePlane, ShmRef, attach_ref, is_shareable
 from repro.resilience.faults import worker_fault_point
 
 __all__ = ["StateHandle", "WorkerRuntime"]
@@ -129,36 +123,18 @@ def _resolve_worker_state(state_ref):
     return value
 
 
-@dataclass(frozen=True)
-class _ShmResultMarker:
-    """A worker result that crossed the pipe as a shared-segment ref."""
-
-    ref: ShmRef
-
-
-def _run_chunk(payload: Tuple[int, int, Callable, Any, str, list, bool]):
+def _run_chunk(payload: Tuple[int, int, Callable, Any, str, list]):
     """Run one indexed chunk inside a worker; returns (index, results).
 
     ``attempt`` is the chunk's delivery attempt: injected crash faults only
-    fire on first delivery, so requeued chunks always make progress.  With
-    ``shm_results`` set, shareable results are exported to worker-created
-    shared segments *after* the whole chunk has computed (so crash faults,
-    which fire before item functions, cannot strand half a chunk's
-    segments) and travel back as :class:`_ShmResultMarker` name cards.
+    fire on first delivery, so requeued chunks always make progress.
     """
-    index, attempt, fn, state_ref, site, items, shm_results = payload
+    index, attempt, fn, state_ref, site, items = payload
     state = _resolve_worker_state(state_ref)
     results = []
     for item in items:
         worker_fault_point(site, attempt)
         results.append(fn(state, item))
-    if shm_results:
-        results = [
-            _ShmResultMarker(export_result(result))
-            if is_shareable(result)
-            else result
-            for result in results
-        ]
     return index, results
 
 
@@ -364,9 +340,7 @@ class WorkerRuntime:
             pass
 
     # -- execution ---------------------------------------------------------
-    def process_map(
-        self, fn, chunks, state_ref, site, sp, shm_results: bool = False
-    ) -> List[Any]:
+    def process_map(self, fn, chunks, state_ref, site, sp) -> List[Any]:
         """Crash-tolerant ordered map on the persistent process pool.
 
         Chunks carry their index and delivery attempt; completions stream
@@ -375,11 +349,6 @@ class WorkerRuntime:
         is discarded, its unfinished chunks requeued on a fresh pool, and
         the final merge orders strictly by chunk index — byte-identical to
         the serial backend regardless of completion or restart order.
-
-        With ``shm_results``, shareable results land in worker-created
-        shared segments and only name cards cross the pipe; the markers
-        are rehydrated here, in merge order, with the runtime's plane
-        adopting each segment (and unlinking it at :meth:`close`).
         """
         metrics = get_metrics()
         results_by_chunk: Dict[int, list] = {}
@@ -390,7 +359,7 @@ class WorkerRuntime:
             futures = {
                 pool.submit(
                     _run_chunk,
-                    (index, attempt, fn, state_ref, site, chunks[index], shm_results),
+                    (index, attempt, fn, state_ref, site, chunks[index]),
                 ): (index, attempt)
                 for index, attempt in pending
             }
@@ -418,16 +387,6 @@ class WorkerRuntime:
                     )
             requeue.sort()
             pending = requeue
-        merged = [
+        return [
             result for index in range(len(chunks)) for result in results_by_chunk[index]
         ]
-        if shm_results:
-            merged = [self._adopt_result(result) for result in merged]
-        return merged
-
-    def _adopt_result(self, result):
-        if isinstance(result, _ShmResultMarker):
-            if self._plane is None:
-                self._plane = SharedStatePlane()
-            return self._plane.adopt(result.ref)
-        return result

@@ -54,7 +54,6 @@ __all__ = [
     "ShmRef",
     "SharedStatePlane",
     "attach_ref",
-    "export_result",
     "is_shareable",
     "release_worker_attachments",
 ]
@@ -98,10 +97,6 @@ class SharedStatePlane:
             f"SharedStatePlane(segments={len(self._segments)}, "
             f"closed={self._closed})"
         )
-
-    @property
-    def segment_names(self) -> Tuple[str, ...]:
-        return tuple(self._segments)
 
     def share(self, state: Any) -> ShmRef:
         """Flatten ``state`` into a fresh shared segment; returns the ref.
@@ -149,36 +144,6 @@ class SharedStatePlane:
     def live_bytes(self) -> int:
         return sum(seg.size for seg in self._segments.values())
 
-    def adopt(self, ref: ShmRef) -> Any:
-        """Attach a worker-exported result segment and rebuild the object.
-
-        The inverse direction of :meth:`share`: the segment was created by
-        a *worker* (see :func:`export_result`), so the coordinator attaches
-        by name, takes ownership — this plane becomes the segment's sole
-        unlinker, exactly as if it had created it — and rebuilds the
-        object over zero-copy views.  The rebuilt object must not outlive
-        the plane.
-        """
-        if self._closed:
-            raise ValueError("shared state plane is closed")
-        # Attach WITHOUT suppressing tracker registration: the exporting
-        # worker suppressed its create-time registration (it must never
-        # unlink), so this attach-time registration is the segment's only
-        # tracker entry — it backs the unregister that ``unlink`` sends at
-        # ``close`` and lets the tracker reap the file if we die first.
-        segment = shared_memory.SharedMemory(name=ref.name)
-        self._segments[segment.name] = segment
-        views: List[memoryview] = []
-        for fmt, start, nbytes in ref.layout:
-            view = segment.buf[start : start + nbytes]
-            if fmt != "B":
-                view = view.cast(fmt)
-            views.append(view)
-        metrics = get_metrics()
-        metrics.incr("runtime.shm_adopted")
-        metrics.gauge("runtime.shm_bytes_live", self.live_bytes())
-        return ref.cls.__shm_rebuild__(ref.meta, views)
-
     def close(self) -> None:
         """Close + unlink every owned segment; safe to call repeatedly."""
         self._closed = True
@@ -199,58 +164,6 @@ class SharedStatePlane:
             self.close()
         except Exception:
             pass
-
-
-def export_result(obj: Any) -> ShmRef:
-    """Worker-side: flatten a shareable result into a fresh shared segment.
-
-    The mirror image of :meth:`SharedStatePlane.share` for the
-    worker-to-coordinator direction: plan/commit fan-outs whose *results*
-    are heavy flat arrays (world wiring plans, swept count columns) write
-    them straight into a segment and return only the :class:`ShmRef` name
-    card — the result pickle crossing the pool pipe stays tiny and the
-    coordinator rebuilds zero-copy views via :meth:`SharedStatePlane.
-    adopt`.
-
-    The segment is created with resource-tracker registration suppressed:
-    the worker must not unlink it at exit (the adopting coordinator is the
-    sole unlinker).  The worker's own mapping is closed before returning —
-    after export the data lives only in the segment.
-    """
-    meta, buffers = obj.__shm_export__()
-    layout: List[Tuple[str, int, int]] = []
-    offset = 0
-    flat: List[memoryview] = []
-    for fmt, buf in buffers:
-        view = memoryview(buf)
-        if view.format != "B" or view.ndim != 1:
-            view = view.cast("B")
-        offset = _aligned(offset)
-        layout.append((fmt, offset, view.nbytes))
-        flat.append(view)
-        offset += view.nbytes
-    total = offset
-    with _registration_suppressed():
-        segment = shared_memory.SharedMemory(create=True, size=max(total, 1))
-    try:
-        for (_, start, nbytes), view in zip(layout, flat):
-            if nbytes:
-                segment.buf[start : start + nbytes] = view
-    finally:
-        for view in flat:
-            view.release()
-    ref = ShmRef(
-        name=segment.name,
-        cls=type(obj),
-        meta=meta,
-        layout=tuple(layout),
-        total_bytes=total,
-    )
-    segment.close()
-    metrics = get_metrics()
-    metrics.incr("runtime.shm_exported")
-    metrics.incr("runtime.shm_bytes", total)
-    return ref
 
 
 # -- worker-process side ----------------------------------------------------

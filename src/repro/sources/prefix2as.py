@@ -12,25 +12,9 @@ from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SourceError
-from repro.net.prefix import (
-    Prefix,
-    PrefixTrie,
-    sweep_cut_points,
-    sweep_uncovered_counts,
-)
+from repro.net.prefix import Prefix, PrefixTrie, sweep_uncovered_counts
 
 __all__ = ["FlatPrefixCounts", "Prefix2ASTable"]
-
-
-def _sweep_span_task(state, span: Tuple[int, int]) -> bytes:
-    """Sweep one independent table range; returns raw ``'q'`` count bytes.
-
-    Bytes (not arrays) cross the process boundary so the coordinator's
-    merge is a straight ``frombytes`` concatenation in span order.
-    """
-    bases, lengths = state
-    start, stop = span
-    return sweep_uncovered_counts(bases, lengths, start, stop).tobytes()
 
 
 class FlatPrefixCounts:
@@ -42,10 +26,7 @@ class FlatPrefixCounts:
     more-specific accounting already applied).  Iterating :meth:`rows`
     replays exactly the ``(prefix, origin)`` order of the owning table, so
     index builds over the flat view are byte-identical to dict walks.
-    Implements the :mod:`repro.parallel.shm` shareable protocol.
     """
-
-    FORMATS: Tuple[str, ...] = ("I", "B", "q", "q")
 
     __slots__ = ("bases", "lengths", "origins", "uncovered")
 
@@ -67,14 +48,6 @@ class FlatPrefixCounts:
     def rows(self) -> Iterator[Tuple[int, int, int, int]]:
         """Yield ``(base, length, origin, uncovered)`` in table order."""
         return zip(self.bases, self.lengths, self.origins, self.uncovered)
-
-    def __shm_export__(self):
-        buffers = (self.bases, self.lengths, self.origins, self.uncovered)
-        return {}, list(zip(self.FORMATS, buffers))
-
-    @classmethod
-    def __shm_rebuild__(cls, meta, views) -> "FlatPrefixCounts":
-        return cls(*views)
 
 
 class Prefix2ASTable:
@@ -140,19 +113,14 @@ class Prefix2ASTable:
         (memoized; the table is immutable).  Treat as read-only."""
         return self._trie.uncovered_address_counts()
 
-    def flat_counts(self, context=None) -> FlatPrefixCounts:
+    def flat_counts(self) -> FlatPrefixCounts:
         """The SoA prefix/count view (memoized; the table is immutable).
 
         The columns are filled in entry order and the usable counts come
         from the linear stack sweep (:func:`~repro.net.prefix.
         sweep_uncovered_counts`) over the already-sorted (base, length)
-        columns — no trie.  With an :class:`~repro.parallel.context.
-        ExecutionContext`, the table is split at covering-gap cut points
-        (per address block, i.e. per RIR in generated worlds) and the
-        independent ranges sweep in parallel; serial and parallel builds
-        are byte-identical because each range's counts depend only on its
-        own rows.  The view is what the CTI index build iterates — and
-        being shm-shareable, what a sharded index build ships.
+        columns — no trie.  The view is what the CTI index build and the
+        geolocation source iterate.
         """
         if self._flat is None:
             bases = array("I")
@@ -162,29 +130,9 @@ class Prefix2ASTable:
                 bases.append(prefix.base)
                 lengths.append(prefix.length)
                 origins.append(origin)
-            counts = self._sweep_counts(bases, lengths, context)
+            counts = sweep_uncovered_counts(bases, lengths)
             self._flat = FlatPrefixCounts(bases, lengths, origins, counts)
         return self._flat
-
-    @staticmethod
-    def _sweep_counts(bases: array, lengths: array, context) -> array:
-        if context is None or context.is_serial:
-            return sweep_uncovered_counts(bases, lengths)
-        bounds = sweep_cut_points(bases, lengths, context.jobs * 4)
-        spans = list(zip(bounds, bounds[1:]))
-        if len(spans) <= 1:
-            return sweep_uncovered_counts(bases, lengths)
-        chunks = context.map_ordered(
-            _sweep_span_task,
-            spans,
-            state=(bases, lengths),
-            chunksize=1,
-            label="prefix.sweep",
-        )
-        counts = array("q")
-        for chunk in chunks:
-            counts.frombytes(chunk)
-        return counts
 
     def _reference_flat_counts(self) -> FlatPrefixCounts:
         """Trie-built SoA view: the pre-sweep implementation, retained as

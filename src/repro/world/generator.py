@@ -16,28 +16,25 @@ Everything is deterministic given the config's seed.  The derived data
 sources (:mod:`repro.sources`) and the classification pipeline only see
 noisy projections of this world; the world itself is the scoring oracle.
 
-Generation is **plan/commit split** so the per-country phases can fan out
-through an :class:`~repro.parallel.ExecutionContext`:
+Generation is **plan/commit split**:
 
-* *plan* (worker side, parallel): each country's market plan, operator
-  companies, ownership scaffolding, ASN sizing, excluded organizations and
-  long tail are computed by a pure function of ``(config, country)`` on a
-  dedicated RNG substream (``market:<cc>``, ``operators:<cc>``,
-  ``names:<cc>``...), producing picklable bundles; topology wiring and the
-  expansion profiles fan out the same way (``topology:<cc>``,
-  ``expansion:<cc>``).
-* *commit* (coordinator side, serial): bundles are applied in the fixed
-  country order — ASN numbers and address blocks are drawn here, global
-  name uniqueness is enforced here, and cross-country edges (regional
-  export) are resolved here — so the result is **bit-identical at every
-  ``--jobs`` setting**: the serial path simply runs the same plan
-  functions inline in the same order.
+* *plan*: each country's market plan, operator companies, ownership
+  scaffolding, ASN sizing, excluded organizations and long tail are
+  computed by a pure function of ``(config, country)`` on a dedicated RNG
+  substream (``market:<cc>``, ``operators:<cc>``, ``names:<cc>``...);
+  topology wiring and the expansion profiles are planned the same way
+  (``topology:<cc>``, ``expansion:<cc>``).
+* *commit*: plans are applied in the fixed country order — ASN numbers
+  and address blocks are drawn here, global name uniqueness is enforced
+  here, and cross-country edges (regional export) are resolved here.
+
+The substreams and the commit order are what fix the output bytes, so
+they stay even though every phase runs inline, one country after another.
 """
 
 from __future__ import annotations
 
 import zlib
-from array import array
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -74,10 +71,6 @@ __all__ = ["World", "WorldGenerator", "GroundTruthOperator"]
 #: Bumped whenever a change alters the world a given config generates, so
 #: cached world blobs written by older revisions are never served stale.
 GENERATOR_VERSION = 4
-
-#: Countries planned per fan-out call while building the world; bounds the
-#: number of in-flight plan payloads at internet scale.
-_COUNTRY_SHARD = 32
 
 INTERNATIONAL_CARRIER_CCS: Tuple[str, ...] = (
     "SG",
@@ -405,14 +398,14 @@ class World:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side plan payloads.  Everything below must stay picklable and must
-# never iterate a set (iteration order would not survive the process hop).
+# Plan payloads.  Everything below must never iterate a set of strings:
+# their order follows the per-process hash seed, so output would drift.
 # ---------------------------------------------------------------------------
 @dataclass
 class _AsnSpec:
-    """A worker-computed ASN delegation plan, replayed at commit time.
+    """A planned ASN delegation, replayed at commit time.
 
-    The worker draws everything that needs the country's RNG (sibling
+    The plan draws everything that needs the country's RNG (sibling
     weights, registered-name rolls, the more-specific coin); the commit
     performs the draws' *consequences* against the shared allocator and
     address cursor, whose state depends only on commit order.
@@ -429,7 +422,7 @@ class _AsnSpec:
 
 @dataclass
 class _OperatorBundle:
-    """One operator plus its ownership scaffolding, built by a worker."""
+    """One operator plus its ownership scaffolding, built by a plan."""
 
     operator_id: str
     entities: List[Entity]      # original insertion order; includes operator
@@ -477,17 +470,13 @@ class _OpWire:
 
 @dataclass
 class _WiringScaffold:
-    """Read-only topology context shipped to the wiring workers once."""
+    """Read-only topology context every country's wiring plan reads."""
 
     seed: int
     tier1_asns: Tuple[int, ...]
     intl_carriers: Dict[str, int]          # cc -> carrier ASN (fixed order)
     transit_dominant: FrozenSet[str]
     ops_by_cc: Dict[str, List[_OpWire]]    # per-country, insertion order
-
-
-#: Edge-kind codes for the shared-memory wiring columns.
-_EDGE_KINDS: Tuple[str, ...] = ("c2p", "p2p")
 
 
 @dataclass
@@ -499,37 +488,6 @@ class _CountryWiring:
     gateways: List[int]
     edges: List[Tuple[str, int, int]]      # ("c2p"|"p2p", a, b)
     exports: List[Tuple[int, List[str]]]   # (gateway, neighbor ccs to try)
-
-    # Shareable-result protocol: the edge list — the heavy part of a wiring
-    # plan — crosses the pool pipe as three shared-memory columns (kind
-    # code, endpoint a, endpoint b) instead of a pickled list of tuples;
-    # everything small rides in the meta dict.
-    def __shm_export__(self):
-        kinds = bytes(_EDGE_KINDS.index(kind) for kind, _, _ in self.edges)
-        a_col = array("q", (a for _, a, _ in self.edges))
-        b_col = array("q", (b for _, _, b in self.edges))
-        meta = {
-            "cc": self.cc,
-            "has_operators": self.has_operators,
-            "gateways": list(self.gateways),
-            "exports": [(g, list(ccs)) for g, ccs in self.exports],
-        }
-        return meta, [("B", kinds), ("q", a_col), ("q", b_col)]
-
-    @classmethod
-    def __shm_rebuild__(cls, meta, views):
-        kind_col, a_col, b_col = views
-        edges = [
-            (_EDGE_KINDS[kind], a, b)
-            for kind, a, b in zip(kind_col.tolist(), a_col.tolist(), b_col.tolist())
-        ]
-        return cls(
-            cc=meta["cc"],
-            has_operators=meta["has_operators"],
-            gateways=list(meta["gateways"]),
-            edges=edges,
-            exports=[(g, list(ccs)) for g, ccs in meta["exports"]],
-        )
 
 
 def _plan_asns(
@@ -858,15 +816,15 @@ def _build_tail(
     return bundles
 
 
-def _build_country_task(state: dict, cc: str) -> _CountryBundle:
+def _build_country_task(
+    config: WorldConfig, private_group_ids: List[str], cc: str
+) -> _CountryBundle:
     """Plan one country end to end: markets, operators, excluded, tail.
 
     Pure function of ``(config, country)`` — every random draw comes from a
-    substream derived from the world seed and the country code, so results
-    are identical whether this runs inline or in a worker process.
+    substream derived from the world seed and the country code, so a
+    country's plan does not depend on which countries were planned before.
     """
-    config: WorldConfig = state["config"]
-    private_group_ids: List[str] = state["private_groups"]
     country = _COUNTRY_BY_CC[cc]
     factory = SeedSequenceFactory(config.seed)
     forge = NameForge(factory.fresh(f"names:{cc}"))
@@ -981,9 +939,8 @@ def _plan_subsidiary(
     )
 
 
-def _build_expansion_task(state: dict, owner: dict) -> List[_SubsidiaryBundle]:
+def _build_expansion_task(config: WorldConfig, owner: dict) -> List[_SubsidiaryBundle]:
     """Plan one expansion-profile owner's foreign subsidiaries."""
-    config: WorldConfig = state["config"]
     factory = SeedSequenceFactory(config.seed)
     rng = factory.fresh(f"expansion:{owner['owner_cc']}")
     forge = NameForge(factory.fresh(f"names:expansion:{owner['owner_cc']}"))
@@ -1003,7 +960,7 @@ def _build_expansion_task(state: dict, owner: dict) -> List[_SubsidiaryBundle]:
     return bundles
 
 
-def _plan_country_wiring(state: _WiringScaffold, cc: str) -> _CountryWiring:
+def _plan_country_wiring(scaffold: _WiringScaffold, cc: str) -> _CountryWiring:
     """Plan one country's intra-topology edges on its own RNG substream.
 
     Within-country edge-existence checks are simulated against the local
@@ -1013,12 +970,12 @@ def _plan_country_wiring(state: _WiringScaffold, cc: str) -> _CountryWiring:
     made here — the selection itself replays serially at commit time, in
     country order, exactly like the old single-threaded wiring loop.
     """
-    factory = SeedSequenceFactory(state.seed)
+    factory = SeedSequenceFactory(scaffold.seed)
     rng = factory.fresh(f"topology:{cc}")
     country = _COUNTRY_BY_CC[cc]
-    ops = state.ops_by_cc.get(cc, [])
-    tier1_set = set(state.tier1_asns)
-    carrier_set = set(state.intl_carriers.values())
+    ops = scaffold.ops_by_cc.get(cc, [])
+    tier1_set = set(scaffold.tier1_asns)
+    carrier_set = set(scaffold.intl_carriers.values())
 
     operator_primaries: List[Tuple[int, int, bool]] = []
     gateway_candidates: List[int] = []
@@ -1048,8 +1005,8 @@ def _plan_country_wiring(state: _WiringScaffold, cc: str) -> _CountryWiring:
     ]
     gateways = transit_gateways or gateway_candidates[:1]
 
-    intl_pool = list(state.tier1_asns) + [
-        asn for ccx, asn in state.intl_carriers.items() if ccx != cc
+    intl_pool = list(scaffold.tier1_asns) + [
+        asn for ccx, asn in scaffold.intl_carriers.items() if ccx != cc
     ]
 
     edges: List[Tuple[str, int, int]] = []
@@ -1067,7 +1024,7 @@ def _plan_country_wiring(state: _WiringScaffold, cc: str) -> _CountryWiring:
         for provider in providers:
             c2p(gateway, provider)
 
-    transit_dominant = cc in state.transit_dominant
+    transit_dominant = cc in scaffold.transit_dominant
     gateway_set = set(gateways)
 
     # Operator primaries buy from gateways (transit-dominant) or mix in
@@ -1138,21 +1095,10 @@ def _plan_country_wiring(state: _WiringScaffold, cc: str) -> _CountryWiring:
 
 
 class WorldGenerator:
-    """Builds a :class:`World` from a :class:`WorldConfig`.
+    """Builds a :class:`World` from a :class:`WorldConfig`."""
 
-    Pass an :class:`~repro.parallel.ExecutionContext` to fan the
-    per-country planning phases out through its worker runtime; without
-    one the same plan functions run inline.  Output is bit-identical
-    either way.
-    """
-
-    def __init__(
-        self,
-        config: Optional[WorldConfig] = None,
-        context=None,
-    ) -> None:
+    def __init__(self, config: Optional[WorldConfig] = None) -> None:
         self.config = config or WorldConfig()
-        self._context = context
         self._factory = SeedSequenceFactory(self.config.seed)
         self._forge = NameForge(self._factory.stream("names"))
         self._asn_alloc = ASNAllocator(self._factory.stream("asn"))
@@ -1218,15 +1164,6 @@ class WorldGenerator:
             international_carrier_asns=dict(self._intl_carriers),
             gateway_asns=self._gateway_asns,
             transit_dominant_ccs=set(self._transit_dominant),
-        )
-
-    # -- fan-out helper ------------------------------------------------------
-    def _map(self, fn, items, state, label, shm_results=False):
-        """Run the plan function over items: fanned out or inline."""
-        if self._context is None:
-            return [fn(state, item) for item in items]
-        return self._context.map_ordered(
-            fn, items, state=state, label=label, shm_results=shm_results
         )
 
     # -- id + name helpers ---------------------------------------------------
@@ -1344,33 +1281,21 @@ class WorldGenerator:
         # owner is needed.
         rng.random()  # keep the stream warm for future extensions
 
-    # -- step 2+3+5+6: per-country planning fan-out -----------------------------
+    # -- step 2+3+5+6: per-country planning -----------------------------------
     def _build_country_bundles(self) -> List[_CountryBundle]:
-        """Plan every country, fanned out in bounded shards.
+        """Plan every country, in the fixed country order.
 
-        The planning function is pure per country (each country draws from
-        its own seed stream), so mapping shard by shard and concatenating
-        yields exactly the bundle list a single full-width map produces —
-        while per-shard fan-out bounds the number of in-flight plan
-        payloads at internet scale.  Commit order (and therefore every
-        coordinator-side RNG draw) is unchanged: commits happen over the
-        full concatenated list, after all shards return.
+        Every plan is complete before the first commit, so commit order
+        (and therefore every RNG draw made at commit time) is the country
+        order.
         """
-        state = {
-            "config": self.config,
-            "private_groups": [g.entity_id for g in self._private_groups],
-        }
-        ccs = [c.cc for c in COUNTRIES]
+        private_group_ids = [g.entity_id for g in self._private_groups]
         with span("world.countries") as sp:
-            bundles: List[_CountryBundle] = []
-            for i in range(0, len(ccs), _COUNTRY_SHARD):
-                shard = ccs[i : i + _COUNTRY_SHARD]
-                bundles.extend(
-                    self._map(_build_country_task, shard, state, "world.countries")
-                )
+            bundles = [
+                _build_country_task(self.config, private_group_ids, c.cc)
+                for c in COUNTRIES
+            ]
             sp.incr("countries", len(bundles))
-            if len(ccs) > _COUNTRY_SHARD:
-                sp.incr("shards", -(-len(ccs) // _COUNTRY_SHARD))
         get_metrics().incr("world.gen.countries", len(bundles))
         return bundles
 
@@ -1536,11 +1461,10 @@ class WorldGenerator:
                     ],
                 }
             )
-        state = {"config": self.config}
         with span("world.expansion") as sp:
-            bundle_lists = self._map(
-                _build_expansion_task, owners, state, "world.expansion"
-            )
+            bundle_lists = [
+                _build_expansion_task(self.config, owner) for owner in owners
+            ]
             count = sum(len(bundles) for bundles in bundle_lists)
             sp.incr("subsidiaries", count)
         get_metrics().incr("world.gen.subsidiaries", count)
@@ -1644,17 +1568,14 @@ class WorldGenerator:
 
         carrier_asns = set(self._intl_carriers.values())
         scaffold = self._wiring_scaffold()
-        ccs = [c.cc for c in COUNTRIES]
         with span("world.wiring") as sp:
-            plans = self._map(
-                _plan_country_wiring, ccs, scaffold, "world.wiring", shm_results=True
-            )
+            plans = [_plan_country_wiring(scaffold, c.cc) for c in COUNTRIES]
             sp.incr("edges", sum(len(wiring.edges) for wiring in plans))
         for wiring in plans:
             self._commit_wiring(wiring, carrier_asns)
 
     def _wiring_scaffold(self) -> _WiringScaffold:
-        """Snapshot the read-only context the wiring workers need."""
+        """Snapshot the read-only context the wiring plans need."""
         ops_by_cc: Dict[str, List[_OpWire]] = {}
         for op in self._ownership.operators():
             asns = self._operator_asns.get(op.entity_id, [])

@@ -67,6 +67,10 @@ def load_or_generate(
 ) -> World:
     """Load the configured world from the blob cache, or generate it.
 
+    ``context`` is accepted for callers that pass their run's execution
+    context, and unused: world generation always runs serially, because
+    fanning its per-country phases out was never faster.
+
     An unpicklable cached entry (e.g. written by an older code revision)
     is evicted and regenerated; a fresh generation is written back so the
     next consumer — possibly a different CI job restored from the same
@@ -83,7 +87,7 @@ def load_or_generate(
             if isinstance(world, World):
                 return world
             cache.evict("world", key)
-    world = WorldGenerator(config, context=context).generate()
+    world = WorldGenerator(config).generate()
     if cache is not None:
         cache.put_blob(
             "world", key, pickle.dumps(world, protocol=pickle.HIGHEST_PROTOCOL)

@@ -5,8 +5,8 @@ the package.  A rename of any of them would not fail the benchmark loudly
 — the traced run would simply lose a layer row — so this suite loads the
 tracer as it is and checks every name it binds: the ``TARGETS`` table,
 the ``map_ordered(label=...)`` keyword it times per label, and the
-``ExecutionContext`` call the benchmark's setup child makes.  It installs
-no wrappers.
+``ExecutionContext`` and ``load_or_generate`` calls the benchmark's setup
+child makes.  It installs no wrappers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.parallel import ExecutionContext
+import repro.cli
+from repro.config import WorldConfig
+from repro.obs import get_metrics
+from repro.parallel import ExecutionContext, ResultCache
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -56,6 +59,21 @@ def test_setup_child_context_constructs():
     with ExecutionContext(jobs=2, backend="process") as context:
         assert context.jobs == 2
         assert not context.is_serial
+
+
+def test_setup_child_world_call_builds_serially(tmp_path, tiny_world):
+    """The setup child's exact call: the ``context`` keyword is accepted,
+    the world equals the serial one, and no worker pool is spawned."""
+    metrics = get_metrics()
+    spawns = metrics.counter("parallel.pool_spawns")
+    with ExecutionContext(jobs=2, backend="process") as context:
+        world = repro.cli.load_or_generate(
+            WorldConfig.tiny(),
+            cache=ResultCache(tmp_path),
+            context=context,
+        )
+    assert world.content_digest() == tiny_world.content_digest()
+    assert metrics.counter("parallel.pool_spawns") == spawns
 
 
 def _double(state, item):

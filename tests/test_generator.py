@@ -1,12 +1,18 @@
 """Invariant tests for the synthetic world generator."""
 
 from collections import Counter
+from dataclasses import replace
 
+import pytest
 
 from repro.config import WorldConfig
 from repro.net.prefix import Prefix, PrefixTrie
 from repro.world.entities import EntityKind, OperatorRole, OperatorScope
-from repro.world.generator import WorldGenerator
+from repro.world.generator import (
+    WorldGenerator,
+    _CountryWiring,
+    _plan_country_wiring,
+)
 
 
 class TestStructure:
@@ -132,46 +138,52 @@ class TestDeterminism:
         w2 = WorldGenerator(WorldConfig.tiny(seed=2)).generate()
         assert set(w1.asn_records) != set(w2.asn_records)
 
-
-class TestWiringShmProtocol:
-    """The per-country wiring plan survives the shared-memory result path."""
-
-    def test_country_wiring_roundtrip(self):
-        from repro.world.generator import _CountryWiring
-
-        original = _CountryWiring(
-            cc="BR",
-            has_operators=True,
-            gateways=[64512, 64513],
-            edges=[("c2p", 64512, 100), ("p2p", 64512, 64513), ("c2p", 64514, 64512)],
-            exports=[(64512, ["AR", "CL"]), (64513, [])],
-        )
-        meta, buffers = original.__shm_export__()
-        rebuilt = _CountryWiring.__shm_rebuild__(
-            meta, [memoryview(bytes(memoryview(buf))).cast(fmt) for fmt, buf in buffers]
-        )
-        assert rebuilt == original
-
-    def test_empty_wiring_roundtrip(self):
-        from repro.world.generator import _CountryWiring
-
-        original = _CountryWiring("AQ", False, [], [], [])
-        meta, buffers = original.__shm_export__()
-        rebuilt = _CountryWiring.__shm_rebuild__(
-            meta, [memoryview(bytes(memoryview(buf))).cast(fmt) for fmt, buf in buffers]
-        )
-        assert rebuilt == original
-
-    def test_parallel_worldgen_matches_serial(self):
-        from repro.parallel import ExecutionContext
-
+    def test_same_seed_same_world_at_scale(self):
         config = WorldConfig(seed=97, scale=0.3)
-        serial = WorldGenerator(config).generate()
-        with ExecutionContext(jobs=2) as context:
-            parallel = WorldGenerator(config, context=context).generate()
-        assert dict(serial.asn_records) == dict(parallel.asn_records)
-        ga, gb = serial.graph, parallel.graph
-        assert sorted(ga.asns) == sorted(gb.asns)
-        for asn in ga.asns:
-            assert sorted(ga.providers_of(asn)) == sorted(gb.providers_of(asn))
-            assert sorted(ga.peers_of(asn)) == sorted(gb.peers_of(asn))
+        first = WorldGenerator(config).generate()
+        second = WorldGenerator(config).generate()
+        assert first.content_digest() == second.content_digest()
+        assert first.graph.num_edges() == second.graph.num_edges()
+
+
+class TestWiringPlan:
+    """Each country's wiring is planned on its own RNG substream from a
+    read-only scaffold, then committed in country order."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        generator = WorldGenerator(WorldConfig.tiny())
+        world = generator.generate()
+        return generator._wiring_scaffold(), world
+
+    def test_country_without_operators_plans_nothing(self, built):
+        scaffold, _ = built
+        cc = next(iter(scaffold.ops_by_cc))
+        empty = replace(scaffold, ops_by_cc={})
+        assert _plan_country_wiring(empty, cc) == _CountryWiring(cc, False, [], [], [])
+
+    def test_plan_depends_only_on_its_country(self, built):
+        scaffold, _ = built
+        assert len(scaffold.ops_by_cc) > 1
+        for cc, ops in scaffold.ops_by_cc.items():
+            plan = _plan_country_wiring(scaffold, cc)
+            assert _plan_country_wiring(scaffold, cc) == plan
+            alone = replace(scaffold, ops_by_cc={cc: ops})
+            assert _plan_country_wiring(alone, cc) == plan, cc
+
+    def test_planned_edges_land_in_the_graph(self, built):
+        scaffold, world = built
+        graph = world.graph
+        checked = 0
+        for cc in scaffold.ops_by_cc:
+            plan = _plan_country_wiring(scaffold, cc)
+            if not plan.has_operators:
+                continue
+            assert world.gateway_asns[cc] == plan.gateways, cc
+            for kind, a, b in plan.edges:
+                if kind == "c2p":
+                    assert b in graph.providers_of(a), (cc, a, b)
+                else:
+                    assert b in graph.peers_of(a), (cc, a, b)
+                checked += 1
+        assert checked > 0

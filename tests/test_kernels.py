@@ -280,61 +280,79 @@ class TestLinearSweepEquivalence:
         assert list(fast.origins) == list(reference.origins)
         assert list(fast.uncovered) == list(reference.uncovered)
 
+    @staticmethod
+    def _interval_oracle(bases, lengths):
+        """Brute-force ``a(p, C)``: span minus the merged union of every
+        distinct strictly-more-specific stored prefix inside it."""
+        distinct = sorted(set(zip(bases, lengths)))
+        out = []
+        for base, length in zip(bases, lengths):
+            end = base + (1 << (32 - length))
+            inner = sorted(
+                (b, b + (1 << (32 - l)))
+                for b, l in distinct
+                if l > length and base <= b and b + (1 << (32 - l)) <= end
+            )
+            covered = 0
+            cursor = base
+            for lo, hi in inner:
+                lo = max(lo, cursor)
+                if hi > lo:
+                    covered += hi - lo
+                    cursor = hi
+            out.append((end - base) - covered)
+        return out
+
     @pytest.mark.parametrize("seed", range(20))
-    def test_partitioned_sweep_matches_whole_sweep(self, seed):
+    def test_sweep_matches_interval_oracle(self, seed):
+        """The kernel itself over the full /0–/32 length range (the table
+        test above draws /4–/30 only), against an oracle that shares no
+        code with the trie."""
         from array import array
 
-        from repro.net.prefix import sweep_cut_points, sweep_uncovered_counts
-        from repro.sources.prefix2as import Prefix2ASTable
+        from repro.net.prefix import sweep_uncovered_counts
 
         rng = random.Random(7000 + seed)
-        table = Prefix2ASTable(self._random_entries(rng))
-        bases = array("I", (p.base for p, _ in table))
-        lengths = array("B", (p.length for p, _ in table))
-        whole = sweep_uncovered_counts(bases, lengths)
-        bounds = sweep_cut_points(bases, lengths, rng.randint(2, 8))
-        assert bounds[0] == 0 and bounds[-1] == len(bases)
-        assert bounds == sorted(bounds)
-        merged = array("q")
-        for start, stop in zip(bounds, bounds[1:]):
-            merged.extend(sweep_uncovered_counts(bases, lengths, start, stop))
-        assert list(merged) == list(whole)
+        rows = set()
+        for _ in range(rng.randint(1, 60)):
+            prefix = Prefix.from_host(rng.getrandbits(32), rng.randint(0, 32))
+            rows.add((prefix.base, prefix.length))
+            if prefix.length < 32 and rng.random() < 0.4:
+                sub = Prefix.from_host(
+                    prefix.base + rng.getrandbits(32 - prefix.length),
+                    rng.randint(prefix.length + 1, 32),
+                )
+                rows.add((sub.base, sub.length))
+        ordered = sorted(rows)
+        # Duplicate (base, length) rows, as a table with several origins
+        # for one prefix has them, must replay the first row's count.
+        ordered += [row for row in ordered if rng.random() < 0.2]
+        ordered.sort()
+        bases = array("I", (base for base, _ in ordered))
+        lengths = array("B", (length for _, length in ordered))
+        counts = sweep_uncovered_counts(bases, lengths)
+        assert list(counts) == self._interval_oracle(list(bases), list(lengths))
 
-    def test_parallel_flat_counts_byte_identical(self):
-        from repro.parallel import ExecutionContext
+    def test_flat_counts_is_memoized(self):
         from repro.sources.prefix2as import Prefix2ASTable
 
-        rng = random.Random(123456)
-        entries = self._random_entries(rng)
-        serial = Prefix2ASTable(entries).flat_counts()
-        with ExecutionContext(jobs=2) as context:
-            parallel = Prefix2ASTable(entries).flat_counts(context=context)
-        assert parallel.uncovered.tobytes() == serial.uncovered.tobytes()
+        table = Prefix2ASTable(self._random_entries(random.Random(123456)))
+        first = table.flat_counts()
+        assert table.flat_counts() is first
+        reference = table._reference_flat_counts()
+        assert first.uncovered.tobytes() == reference.uncovered.tobytes()
 
-    def test_single_job_context_sweeps_inline(self):
-        """A one-worker context is serial whatever its backend name: the
-        sweep must not split into map tasks that run one after another."""
+    def test_sweep_edge_tables(self):
         from array import array
 
-        from repro.net.prefix import sweep_cut_points
-        from repro.parallel import ExecutionContext
-        from repro.sources.prefix2as import Prefix2ASTable
+        from repro.net.prefix import sweep_uncovered_counts
 
-        entries = self._random_entries(random.Random(123456))
-        table = Prefix2ASTable(entries)
-        bases = array("I", (p.base for p, _ in table))
-        lengths = array("B", (p.length for p, _ in table))
-        assert len(sweep_cut_points(bases, lengths, 4)) > 2  # splittable
-        labels = []
-        with ExecutionContext(jobs=1, backend="process") as context:
-            real_map = context.map_ordered
+        def sweep(rows):
+            bases = array("I", (base for base, _ in rows))
+            lengths = array("B", (length for _, length in rows))
+            return list(sweep_uncovered_counts(bases, lengths))
 
-            def spy(fn, items, **kwargs):
-                labels.append(kwargs.get("label"))
-                return real_map(fn, items, **kwargs)
-
-            context.map_ordered = spy
-            counts = table.flat_counts(context=context)
-        assert "prefix.sweep" not in labels
-        serial = Prefix2ASTable(entries).flat_counts()
-        assert counts.uncovered.tobytes() == serial.uncovered.tobytes()
+        assert sweep([]) == []
+        assert sweep([(0, 0)]) == [1 << 32]
+        assert sweep([(0, 0), (0xFFFFFFFF, 32)]) == [(1 << 32) - 1, 1]
+        assert sweep([(0, 0), (0, 0), (5, 32)]) == [(1 << 32) - 1] * 2 + [1]

@@ -249,62 +249,46 @@ def _square(state, n):
     return n * n
 
 
-class TestResultPlane:
-    """Worker-exported results: the coordinator adopts, owns, and unlinks."""
+class TestResultPath:
+    """Worker results come back by value: only states ride shared memory,
+    so a shareable result is pickled like any other object."""
 
-    def test_export_adopt_roundtrip(self):
-        from repro.parallel.shm import export_result
+    SIZES = [3, 0, 17, 64, 5]
 
-        original = _columns(31)
-        ref = export_result(original)
-        plane = SharedStatePlane()
-        try:
-            rebuilt = plane.adopt(ref)
-            assert rebuilt.tag == "t"
-            assert list(rebuilt.ids) == list(original.ids)
-            assert list(rebuilt.values) == list(original.values)
-            assert ref.name in plane.segment_names
-            rebuilt.ids.release()
-            rebuilt.values.release()
-        finally:
-            plane.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=ref.name)
+    @staticmethod
+    def _assert_grown(sizes, results):
+        for n, col in zip(sizes, results):
+            assert col.tag == f"n{n}"
+            assert list(col.ids) == list(range(n))
+            assert list(col.values) == [v * 2 for v in range(n)]
 
-    def test_process_map_shm_results_identical(self):
+    def test_shareable_results_return_by_value(self):
         metrics = get_metrics()
-        sizes = [3, 0, 17, 64, 5]
-        adopted = metrics.counter("runtime.shm_adopted")
+        segments = metrics.counter("runtime.shm_segments")
         with ExecutionContext(jobs=2) as context:
-            results = context.map_ordered(
-                _grow_columns, sizes, chunksize=2, shm_results=True
-            )
-            assert metrics.counter("runtime.shm_adopted") - adopted == len(sizes)
-            for n, col in zip(sizes, results):
-                assert col.tag == f"n{n}"
-                assert list(col.ids) == list(range(n))
-                assert list(col.values) == [v * 2 for v in range(n)]
-            # Release the zero-copy views before the context (and with it
-            # the owning plane) closes — adopted objects must not outlive
-            # their segments.
-            for col in results:
-                col.ids.release()
-                col.values.release()
+            results = context.map_ordered(_grow_columns, self.SIZES, chunksize=2)
+        assert metrics.counter("runtime.shm_segments") == segments
+        assert all(isinstance(col.ids, array) for col in results)
+        self._assert_grown(self.SIZES, results)
+
+    def test_results_outlive_the_context(self):
+        with ExecutionContext(jobs=2) as context:
+            results = context.map_ordered(_grow_columns, self.SIZES)
+        # The context (and any plane it owned) is closed; the columns are
+        # owned copies, not views into unlinked segments.
+        self._assert_grown(self.SIZES, results)
+        results[2].ids.append(17)
+        assert results[2].ids[-1] == 17
 
     def test_non_shareable_results_pass_through(self):
-        metrics = get_metrics()
-        adopted = metrics.counter("runtime.shm_adopted")
         with ExecutionContext(jobs=2) as context:
-            results = context.map_ordered(_square, [1, 2, 3, 4], shm_results=True)
+            results = context.map_ordered(_square, [1, 2, 3, 4])
         assert results == [1, 4, 9, 16]
-        assert metrics.counter("runtime.shm_adopted") == adopted
 
     def test_serial_backend_returns_objects_directly(self):
-        metrics = get_metrics()
-        adopted = metrics.counter("runtime.shm_adopted")
         with ExecutionContext(jobs=1) as context:
-            results = context.map_ordered(_grow_columns, [6], shm_results=True)
-        assert metrics.counter("runtime.shm_adopted") == adopted
+            results = context.map_ordered(_grow_columns, [6])
+        assert isinstance(results[0], _Columns)
         assert list(results[0].ids) == list(range(6))
 
     @pytest.mark.skipif(
@@ -314,7 +298,7 @@ class TestResultPlane:
         before = set(os.listdir("/dev/shm"))
         for _ in range(2):
             with ExecutionContext(jobs=2) as context:
-                context.map_ordered(_grow_columns, [8, 2, 11], shm_results=True)
+                context.map_ordered(_grow_columns, [8, 2, 11])
         leaked = {
             name
             for name in set(os.listdir("/dev/shm")) - before
