@@ -33,9 +33,17 @@ def recording_enabled() -> bool:
     return os.environ.get("REPRO_BENCH_RECORD") == "1"
 
 
-def mean_seconds(benchmark) -> float:
-    """Mean wall time of a completed pytest-benchmark measurement."""
-    return float(benchmark.stats.stats.mean)
+#: Rounds of each runtime benchmark case (worldgen, parallel): one noisy
+#: round cannot move their median.
+ROUNDS = 5
+
+
+def median_seconds(benchmark) -> float:
+    """Median wall time of a completed pytest-benchmark measurement.
+
+    For a single round it is that round's time.
+    """
+    return float(benchmark.stats.stats.median)
 
 
 def append_record(

@@ -1,6 +1,7 @@
 """Parallel-execution benchmarks: serial vs multi-core vs warm cache.
 
-Three single-round measurements of the same reduced-world pipeline run:
+Three measurements of the same reduced-world pipeline run, each the
+median of ``ROUNDS`` rounds, every round on a freshly built pipeline:
 
 * the serial baseline,
 * the multi-core run (process backend), and
@@ -17,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import os
 
-from _record import append_record, mean_seconds
+from _record import ROUNDS, append_record, median_seconds
 
 from repro.config import ParallelConfig
 from repro.core.pipeline import StateOwnershipPipeline
@@ -39,6 +40,12 @@ def _cold_inputs(inputs):
     )
 
 
+def _run(pipeline: StateOwnershipPipeline):
+    result = pipeline.run()
+    assert len(result.dataset)
+    return result
+
+
 def _report(title, result):
     print()
     print(
@@ -55,52 +62,51 @@ def _report(title, result):
 
 
 def test_bench_pipeline_serial(benchmark, small_bench_inputs):
-    inputs = _cold_inputs(small_bench_inputs)
-    pipeline = StateOwnershipPipeline(inputs)
-    result = benchmark.pedantic(pipeline.run, rounds=1, iterations=1)
+    def setup():
+        return (StateOwnershipPipeline(_cold_inputs(small_bench_inputs)),), {}
+
+    result = benchmark.pedantic(_run, setup=setup, rounds=ROUNDS)
     benchmark.extra_info["jobs"] = 1
     benchmark.extra_info["backend"] = "serial"
     _report("Serial baseline (cold routing trees)", result)
-    assert len(result.dataset)
     append_record(
         "parallel",
         "pipeline_serial",
-        tracked={"wall_s": mean_seconds(benchmark)},
+        tracked={"wall_s": median_seconds(benchmark)},
         context={"jobs": 1, "backend": "serial"},
         confirmed=len(result.dataset),
     )
 
 
 def test_bench_pipeline_parallel(benchmark, small_bench_inputs):
-    inputs = _cold_inputs(small_bench_inputs)
-    pipeline = StateOwnershipPipeline(
-        inputs,
-        parallel=ParallelConfig(jobs=_PARALLEL_JOBS),
-    )
     metrics = get_metrics()
-    spawns = metrics.counter("parallel.pool_spawns")
-    reuses = metrics.counter("parallel.pool_reuse")
-    ships = metrics.counter("parallel.state_ships")
-    result = benchmark.pedantic(pipeline.run, rounds=1, iterations=1)
+    counters = ("pool_spawns", "pool_reuse", "state_ships")
+    before = {}
+
+    def setup():
+        before.update({c: metrics.counter(f"parallel.{c}") for c in counters})
+        pipeline = StateOwnershipPipeline(
+            _cold_inputs(small_bench_inputs),
+            parallel=ParallelConfig(jobs=_PARALLEL_JOBS),
+        )
+        return (pipeline,), {}
+
+    def check(_pipeline):
+        for c in counters:
+            benchmark.extra_info[c] = metrics.counter(f"parallel.{c}") - before[c]
+        assert benchmark.extra_info["pool_spawns"] == 1
+
+    result = benchmark.pedantic(_run, setup=setup, teardown=check, rounds=ROUNDS)
     benchmark.extra_info["jobs"] = _PARALLEL_JOBS
     benchmark.extra_info["backend"] = "process"
-    benchmark.extra_info["pool_spawns"] = (
-        metrics.counter("parallel.pool_spawns") - spawns
-    )
-    benchmark.extra_info["pool_reuse"] = metrics.counter("parallel.pool_reuse") - reuses
-    benchmark.extra_info["state_ships"] = (
-        metrics.counter("parallel.state_ships") - ships
-    )
-    assert benchmark.extra_info["pool_spawns"] == 1
     _report(
         f"Process backend, {_PARALLEL_JOBS} workers (cold routing trees)",
         result,
     )
-    assert len(result.dataset)
     append_record(
         "parallel",
         "pipeline_parallel",
-        tracked={"wall_s": mean_seconds(benchmark)},
+        tracked={"wall_s": median_seconds(benchmark)},
         context={"jobs": _PARALLEL_JOBS, "backend": "process"},
         confirmed=len(result.dataset),
         shm_bytes=metrics.counter("runtime.shm_bytes"),
@@ -114,21 +120,27 @@ def test_bench_pipeline_warm_cache(benchmark, small_bench_inputs, tmp_path_facto
     StateOwnershipPipeline(_cold_inputs(small_bench_inputs), parallel=parallel).run()
 
     metrics = get_metrics()
-    hits_before = metrics.counter("cache.hits")
-    pipeline = StateOwnershipPipeline(
-        _cold_inputs(small_bench_inputs), parallel=parallel
-    )
-    result = benchmark.pedantic(pipeline.run, rounds=1, iterations=1)
+    before = {}
+
+    def setup():
+        before["hits"] = metrics.counter("cache.hits")
+        pipeline = StateOwnershipPipeline(
+            _cold_inputs(small_bench_inputs), parallel=parallel
+        )
+        return (pipeline,), {}
+
+    def check(_pipeline):
+        assert metrics.counter("cache.hits") - before["hits"] >= 1
+
+    result = benchmark.pedantic(_run, setup=setup, teardown=check, rounds=ROUNDS)
     benchmark.extra_info["jobs"] = 1
     benchmark.extra_info["backend"] = "serial"
     benchmark.extra_info["cache"] = "warm"
     _report("Warm persistent cache (CTI served from disk)", result)
-    assert metrics.counter("cache.hits") - hits_before >= 1
-    assert len(result.dataset)
     append_record(
         "parallel",
         "pipeline_warm_cache",
-        tracked={"wall_s": mean_seconds(benchmark)},
+        tracked={"wall_s": median_seconds(benchmark)},
         context={"jobs": 1, "backend": "serial", "cache": "warm"},
         confirmed=len(result.dataset),
     )

@@ -1,6 +1,7 @@
 """World-generation benchmarks: generated vs cached.
 
-Two single-round measurements of obtaining the same world:
+Two measurements of obtaining the same world, each the median of
+``ROUNDS`` rounds on fresh state:
 
 * the generation baseline (world generation always runs serially), and
 * the warm blob-cache load through :func:`~repro.world.worldcache.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import os
 
-from _record import append_record, mean_seconds
+from _record import ROUNDS, append_record, median_seconds
 
 from repro.config import WorldConfig
 from repro.obs import get_metrics
@@ -33,18 +34,25 @@ def _config() -> WorldConfig:
     return WorldConfig(seed=BENCH_SEED, scale=BENCH_SCALE)
 
 
+def _generate(generator: WorldGenerator):
+    world = generator.generate()
+    assert world.asn_records
+    return world
+
+
 def test_bench_worldgen_serial(benchmark):
     world = benchmark.pedantic(
-        lambda: WorldGenerator(_config()).generate(), rounds=1, iterations=1
+        _generate,
+        setup=lambda: ((WorldGenerator(_config()),), {}),
+        rounds=ROUNDS,
     )
     benchmark.extra_info["jobs"] = 1
     benchmark.extra_info["backend"] = "serial"
     benchmark.extra_info["asns"] = len(world.asn_records)
-    assert world.asn_records
     append_record(
         "worldgen",
         "worldgen_serial",
-        tracked={"wall_s": mean_seconds(benchmark)},
+        tracked={"wall_s": median_seconds(benchmark)},
         context={"scale": BENCH_SCALE, "seed": BENCH_SEED, "jobs": 1},
         asns=len(world.asn_records),
     )
@@ -56,17 +64,21 @@ def test_bench_worldgen_cached(benchmark, tmp_path_factory):
     generated = load_or_generate(config, cache)
     metrics = get_metrics()
     generations = metrics.counter("world.gen.countries")
+    loaded = []
 
-    world = benchmark.pedantic(
-        lambda: load_or_generate(config, cache), rounds=1, iterations=1
-    )
+    def load():
+        loaded.append(load_or_generate(config, cache))
+
+    def check():
+        assert metrics.counter("world.gen.countries") == generations  # a load
+        assert loaded.pop().content_digest() == generated.content_digest()
+
+    benchmark.pedantic(load, teardown=check, rounds=ROUNDS)
     benchmark.extra_info["cache"] = "warm"
-    assert metrics.counter("world.gen.countries") == generations  # a load
-    assert world.content_digest() == generated.content_digest()
     append_record(
         "worldgen",
         "worldgen_cached",
-        tracked={"wall_s": mean_seconds(benchmark)},
+        tracked={"wall_s": median_seconds(benchmark)},
         context={"scale": BENCH_SCALE, "seed": BENCH_SEED, "cache": "warm"},
-        asns=len(world.asn_records),
+        asns=len(generated.asn_records),
     )

@@ -72,7 +72,7 @@ def full_report(
         names = ", ".join(sorted(s.name for s in result.degraded_sources))
         sections.append(
             f"DEGRADED RUN: the {names} source(s) were quarantined after "
-            "exhausting retries; their candidates are absent and every "
+            "failing; their candidates are absent and every "
             "paper comparison below understates the corresponding rows."
         )
 

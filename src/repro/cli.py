@@ -21,12 +21,11 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sqlite3
 import sys
 from typing import List, Optional
 
-from repro.config import ParallelConfig, ResilienceConfig, WorldConfig
+from repro.config import ParallelConfig, WorldConfig
 from repro.errors import ConfigError, DatasetError, ReproError
 from repro.core import (
     PipelineInputs,
@@ -38,7 +37,7 @@ from repro.parallel import (
     ResultCache,
     resolve_cache_dir,
 )
-from repro.resilience import FaultPlan, install_fault_plan
+from repro.resilience import FaultPlan, fault_plan_installed
 from repro.world.worldcache import load_or_generate
 
 __all__ = ["main", "build_parser"]
@@ -316,12 +315,12 @@ def _make_world(args: argparse.Namespace, cache: Optional[ResultCache] = None):
 def _run_pipeline(
     world,
     parallel: Optional[ParallelConfig] = None,
-    resilience: Optional[ResilienceConfig] = None,
+    fail_fast: bool = False,
     context: Optional[ExecutionContext] = None,
 ):
-    inputs = PipelineInputs.from_world(world, resilience=resilience)
+    inputs = PipelineInputs.from_world(world, fail_fast=fail_fast)
     result = StateOwnershipPipeline(
-        inputs, parallel=parallel, resilience=resilience, context=context
+        inputs, parallel=parallel, fail_fast=fail_fast, context=context
     ).run()
     return inputs, result
 
@@ -393,21 +392,6 @@ def _emit_run_summary() -> None:
     )
 
 
-def _make_resilience_config(args: argparse.Namespace) -> ResilienceConfig:
-    """Resolve --inject-faults/--fail-fast and activate the fault plan.
-
-    A plan given on the command line is exported through ``REPRO_FAULTS``
-    so process-pool workers (which inherit the environment) replay the
-    same seeded faults as the coordinator.
-    """
-    spec = getattr(args, "inject_faults", None)
-    if spec:
-        plan = FaultPlan.parse(spec)
-        os.environ["REPRO_FAULTS"] = plan.as_text()
-        install_fault_plan(plan)
-    return ResilienceConfig(fail_fast=bool(getattr(args, "fail_fast", False)))
-
-
 def _make_parallel_config(args: argparse.Namespace) -> ParallelConfig:
     """Resolve --jobs/--no-cache plus REPRO_* env fallbacks."""
     context = ExecutionContext.resolve(jobs=getattr(args, "jobs", None))
@@ -420,6 +404,14 @@ def _make_parallel_config(args: argparse.Namespace) -> ParallelConfig:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # A plan given with --inject-faults is active (and exported to pool
+    # workers through REPRO_FAULTS) for this command only.
+    spec = getattr(args, "inject_faults", None)
+    try:
+        plan = FaultPlan.parse(spec) if spec else None
+    except ConfigError as exc:
+        print(f"error: bad fault plan: {exc}", file=sys.stderr)
+        return 2
 
     configured = bool(getattr(args, "trace", False) or getattr(args, "log_json", None))
     if configured:
@@ -433,7 +425,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 2
     try:
-        return _dispatch(args)
+        with fault_plan_installed(plan):
+            return _dispatch(args)
     finally:
         if configured:
             from repro.obs import set_sink
@@ -455,11 +448,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command in ("run", "report", "validate"):
         try:
-            resilience = _make_resilience_config(args)
-        except ConfigError as exc:
-            print(f"error: bad fault plan: {exc}", file=sys.stderr)
-            return 2
-        try:
             parallel = _make_parallel_config(args)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -470,7 +458,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         with ExecutionContext(jobs=parallel.jobs) as context:
             world = _make_world(args, cache=cache)
             try:
-                inputs, result = _run_pipeline(world, parallel, resilience, context)
+                inputs, result = _run_pipeline(
+                    world, parallel, args.fail_fast, context
+                )
             except ReproError as exc:
                 # fail-fast aborts (and genuinely unrecoverable source
                 # failures) land here; degraded runs never do.
@@ -626,11 +616,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.core.maintenance import run_maintenance
 
         try:
-            resilience = _make_resilience_config(args)
-        except ConfigError as exc:
-            print(f"error: bad fault plan: {exc}", file=sys.stderr)
-            return 2
-        try:
             parallel = _make_parallel_config(args)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -646,7 +631,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                     start_year=args.start_year,
                     start_month=args.start_month,
                     parallel=parallel,
-                    resilience=resilience,
+                    fail_fast=args.fail_fast,
                     context=context,
                     cache=cache,
                     cold=args.cold,

@@ -20,7 +20,6 @@ __all__ = [
     "SourceNoiseConfig",
     "PipelineConfig",
     "ParallelConfig",
-    "ResilienceConfig",
 ]
 
 #: Foreign-expansion profiles: owner country -> target countries where its
@@ -278,55 +277,6 @@ class PipelineConfig:
             raise ConfigError("cti_top_k must be >= 1")
         if not 0.0 < self.mapping_similarity_threshold <= 1.0:
             raise ConfigError("mapping_similarity_threshold out of (0, 1]")
-
-
-@dataclass
-class ResilienceConfig:
-    """Fault-tolerance knobs of one pipeline run.
-
-    Applied at every I/O and fan-out boundary: source loaders, source
-    queries, the persistent result cache and the process-pool workers.
-    The backoff jitter is drawn from a stream seeded by ``seed``, so two
-    runs with the same configuration retry at identical instants — chaos
-    runs replay bit-identically.
-
-    ``fail_fast`` restores the pre-resilience behavior: the first source
-    that exhausts its retries aborts the run instead of being quarantined.
-    """
-
-    #: Attempts per call site (1 disables retrying).
-    max_attempts: int = 3
-    #: First backoff delay in seconds; grows by ``multiplier`` per attempt.
-    base_delay: float = 0.02
-    multiplier: float = 2.0
-    #: Upper bound on any single backoff delay, in seconds.
-    max_delay: float = 0.5
-    #: Jitter amplitude as a fraction of the delay (0 disables jitter).
-    jitter: float = 0.25
-    #: Per-attempt wall-clock budget in seconds (None = unbounded).
-    attempt_timeout: Optional[float] = None
-    #: Consecutive failures that open a call site's circuit breaker.
-    breaker_threshold: int = 5
-    #: Seconds an open breaker waits before allowing a half-open probe.
-    breaker_reset: float = 30.0
-    #: Abort on the first exhausted source instead of degrading.
-    fail_fast: bool = False
-    #: Seed of the deterministic backoff-jitter stream.
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise ConfigError("backoff delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise ConfigError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigError(f"jitter = {self.jitter} out of [0, 1]")
-        if self.breaker_threshold < 1:
-            raise ConfigError("breaker_threshold must be >= 1")
-        if self.breaker_reset < 0:
-            raise ConfigError("breaker_reset must be >= 0")
 
 
 @dataclass

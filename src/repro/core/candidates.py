@@ -34,7 +34,8 @@ from typing import (
 
 from repro.config import PipelineConfig
 from repro.cti.selection import CTISelection
-from repro.errors import ResilienceError, SourceError
+from repro.errors import SourceError
+from repro.resilience.faults import fault_point
 from repro.sources.base import InputSource
 from repro.sources.eyeballs import EyeballDataset
 from repro.sources.geolocation import GeolocationService
@@ -134,12 +135,11 @@ def _cti_candidates(candidates: CandidateSet, selection: CTISelection) -> None:
             candidates.add_asn(asn, InputSource.CTI, cc, score)
 
 
-def _harvest_guarded(
+def _harvest_or_quarantine(
     candidates: CandidateSet,
     source: InputSource,
     site: str,
     harvester: Callable[[CandidateSet], None],
-    guard,
 ) -> None:
     """Run one technical-source harvest, quarantining it on failure.
 
@@ -147,13 +147,11 @@ def _harvest_guarded(
     source that fails mid-harvest contributes *nothing* — the surviving
     candidate set is byte-identical to a run that skipped the source.
     """
-    if guard is None:
-        harvester(candidates)
-        return
     scratch = CandidateSet()
     try:
-        guard.call(site, lambda: harvester(scratch))
-    except (SourceError, ResilienceError):
+        fault_point(site)
+        harvester(scratch)
+    except SourceError:
         candidates.degraded.add(source)
         return
     for (asn, src), (cc, share) in scratch.detail.items():
@@ -169,7 +167,6 @@ def harvest_candidates(
     wiki_fh_companies: Iterable[Tuple[str, str]],
     config: Optional[PipelineConfig] = None,
     skip: FrozenSet[InputSource] = frozenset(),
-    guard=None,
 ) -> CandidateSet:
     """Run all five input sources and assemble the candidate set.
 
@@ -178,32 +175,30 @@ def harvest_candidates(
     and the Wikipedia/Freedom House sources.
 
     Sources in ``skip`` (ablation studies, pre-degraded inputs) are not
-    harvested at all.  When a :class:`~repro.resilience.SourceGuard` is
-    passed, each technical source is harvested under retry/circuit-breaker
-    protection and quarantined into ``CandidateSet.degraded`` on failure
-    instead of sinking the run.
+    harvested at all.  Each technical source runs behind its
+    fault-injection site (``source.geolocation``, ``source.eyeballs``) and
+    is quarantined into ``CandidateSet.degraded`` when it fails, instead of
+    sinking the run.
     """
     config = config or PipelineConfig()
     candidates = CandidateSet()
     threshold = config.candidate_share_threshold
 
     if InputSource.GEOLOCATION not in skip:
-        _harvest_guarded(
+        _harvest_or_quarantine(
             candidates,
             InputSource.GEOLOCATION,
             "source.geolocation",
             lambda cs: _geolocation_candidates(cs, table, geolocation, threshold),
-            guard,
         )
     geo_asns = candidates.asns_from(InputSource.GEOLOCATION)
 
     if InputSource.EYEBALLS not in skip:
-        _harvest_guarded(
+        _harvest_or_quarantine(
             candidates,
             InputSource.EYEBALLS,
             "source.eyeballs",
             lambda cs: _eyeball_candidates(cs, eyeballs, threshold),
-            guard,
         )
     eyeball_asns = candidates.asns_from(InputSource.EYEBALLS)
 

@@ -61,7 +61,7 @@ class StateOwnedDataset:
 
     ``degraded_sources`` is the resilience provenance of the producing run:
     the candidate-source codes (``G``/``E``/``C``/``W``/``O``) that were
-    quarantined after exhausting their retries.  An empty tuple means a
+    quarantined because they failed.  An empty tuple means a
     clean run.  The flags survive both the JSON and SQLite round-trips, so
     a consumer can always tell a complete dataset from a degraded one.
     """

@@ -208,7 +208,7 @@ def _verify_snapshot(
     dataset_path: Path,
     cti_path: Optional[Path],
     noise,
-    resilience,
+    fail_fast,
     context,
     config=None,
 ) -> bool:
@@ -221,9 +221,9 @@ def _verify_snapshot(
     """
     from repro.core.pipeline import PipelineInputs, StateOwnershipPipeline
 
-    inputs = PipelineInputs.from_world(world, noise=noise, resilience=resilience)
+    inputs = PipelineInputs.from_world(world, noise=noise, fail_fast=fail_fast)
     result = StateOwnershipPipeline(
-        inputs, config=config, resilience=resilience, context=context
+        inputs, config=config, fail_fast=fail_fast, context=context
     ).run()
     scratch = dataset_path.with_name(dataset_path.name + ".verify")
     cold_cti = _export_snapshot(result, scratch)
@@ -277,7 +277,7 @@ def run_maintenance(
     noise=None,
     config=None,
     parallel=None,
-    resilience=None,
+    fail_fast: bool = False,
     context=None,
     cache=None,
     cold: bool = False,
@@ -312,7 +312,7 @@ def run_maintenance(
         engine = IncrementalEngine(
             config=config,
             noise=noise,
-            resilience=resilience,
+            fail_fast=fail_fast,
             parallel=parallel,
             cache=cache,
         )
@@ -346,13 +346,13 @@ def run_maintenance(
             # not inherit the previous snapshot's warm trees.
             world.collector.reset_cache()
             inputs = PipelineInputs.from_world(
-                world, noise=noise, resilience=resilience
+                world, noise=noise, fail_fast=fail_fast
             )
             result = StateOwnershipPipeline(
                 inputs,
                 config=config,
                 parallel=parallel,
-                resilience=resilience,
+                fail_fast=fail_fast,
                 context=context,
             ).run()
             provenance = {
@@ -371,7 +371,7 @@ def run_maintenance(
                 dataset_path,
                 cti_path,
                 noise,
-                resilience,
+                fail_fast,
                 context,
                 config=config,
             )

@@ -14,12 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.config import (
-    ParallelConfig,
-    PipelineConfig,
-    ResilienceConfig,
-    SourceNoiseConfig,
-)
+from repro.config import ParallelConfig, PipelineConfig, SourceNoiseConfig
 from repro.core.candidates import CandidateSet, harvest_candidates
 from repro.core.confirmation import (
     ConfirmationStatus,
@@ -34,7 +29,7 @@ from repro.core.mapping import CompanyMapper
 from repro.core.subsidiaries import DiscoveredCompany, SubsidiaryExplorer
 from repro.cti.metric import CTIComputer
 from repro.cti.selection import CTISelection, select_cti_candidates
-from repro.errors import PipelineError, ResilienceError, SourceError
+from repro.errors import PipelineError, SourceError
 from repro.obs import get_metrics, span
 from repro.parallel import (
     ExecutionContext,
@@ -42,7 +37,7 @@ from repro.parallel import (
     stable_digest,
     world_fingerprint,
 )
-from repro.resilience import QuarantinedSource, SourceGuard
+from repro.resilience import QuarantinedSource, fault_point
 from repro.sources.as2org import As2OrgDataset
 from repro.sources.asrank import AsRankDataset
 from repro.sources.base import InputSource
@@ -86,7 +81,7 @@ class PipelineInputs:
     #: over hand-assembled inputs, whose provenance we cannot fingerprint.
     fingerprint: Optional[str] = None
     #: Candidate sources quarantined while *building* the inputs: each
-    #: exhausted its retry budget and was replaced by an inert
+    #: failed and was replaced by an inert
     #: :class:`~repro.resilience.QuarantinedSource`.  The pipeline folds
     #: these into the run's degraded-source provenance.
     degraded: FrozenSet[InputSource] = frozenset()
@@ -98,18 +93,18 @@ class PipelineInputs:
         cls,
         world,
         noise: Optional[SourceNoiseConfig] = None,
-        resilience: Optional[ResilienceConfig] = None,
+        fail_fast: bool = False,
         prefix2as: Optional[Prefix2ASTable] = None,
     ) -> "PipelineInputs":
         """Materialize all derived sources from a synthetic world.
 
-        Every source loader runs under retry/circuit-breaker protection
-        (and the fault-injection sites ``source.<name>``).  Loaders the
-        pipeline can run without — the five candidate feeds — degrade into
+        Every source loader runs behind its fault-injection site
+        (``source.<name>``).  Loaders the pipeline can run without — the
+        five candidate feeds — degrade into
         :class:`~repro.resilience.QuarantinedSource` stand-ins when they
-        exhaust their retries; infrastructure loaders (prefix2as, WHOIS,
-        PeeringDB, AS2Org, the confirmation corpus) stay fatal.  With
-        ``resilience.fail_fast`` every exhausted loader is fatal.
+        fail; infrastructure loaders (prefix2as, WHOIS, PeeringDB, AS2Org,
+        the confirmation corpus) stay fatal.  With ``fail_fast`` every
+        failed loader is fatal.
 
         ``prefix2as`` reuses an already-built table (and its trie) when
         the caller has proven, via the prefix-source fingerprint, that the
@@ -117,21 +112,20 @@ class PipelineInputs:
         loop's trie-reuse path.
         """
         noise = noise or SourceNoiseConfig()
-        config = resilience or ResilienceConfig()
-        guard = SourceGuard.from_config(config)
         degraded: Set[InputSource] = set()
         failed_sites: List[str] = []
 
         def build(site: str, builder):
-            """A required loader: retried, then fatal."""
-            return guard.call(site, builder)
+            """A required loader: a failure is fatal."""
+            fault_point(site)
+            return builder()
 
         def build_optional(site: str, builder, flags: Tuple[InputSource, ...]):
-            """A candidate-feed loader: retried, then quarantined."""
+            """A candidate-feed loader: a failure quarantines it."""
             try:
-                return guard.call(site, builder)
-            except (SourceError, ResilienceError):
-                if config.fail_fast:
+                return build(site, builder)
+            except SourceError:
+                if fail_fast:
                     raise
                 metrics = get_metrics()
                 metrics.incr("resilience.quarantined")
@@ -301,7 +295,7 @@ class StateOwnershipPipeline:
         inputs: PipelineInputs,
         config: Optional[PipelineConfig] = None,
         parallel: Optional[ParallelConfig] = None,
-        resilience: Optional[ResilienceConfig] = None,
+        fail_fast: bool = False,
         context: Optional[ExecutionContext] = None,
         cti_computer: Optional[CTIComputer] = None,
         analyst: Optional[OwnershipAnalyst] = None,
@@ -309,7 +303,7 @@ class StateOwnershipPipeline:
         self._inputs = inputs
         self._config = config or PipelineConfig()
         self._parallel = parallel or ParallelConfig()
-        self._resilience = resilience or ResilienceConfig()
+        self._fail_fast = fail_fast
         self._context = context
         self._whois_memo: Dict[int, object] = {}
         # Incremental-maintain injection points: a CTI computer carrying
@@ -332,7 +326,7 @@ class StateOwnershipPipeline:
         contribute nothing, the run completes, and the output dataset
         carries their codes in ``degraded_sources``.  A degraded run is
         byte-identical to one that listed the same sources in
-        ``skip_sources``.  With ``resilience.fail_fast`` any source
+        ``skip_sources``.  With ``fail_fast`` any source
         failure aborts the run with :class:`PipelineError` instead.
 
         An injected execution context (shared with world generation by the
@@ -353,10 +347,9 @@ class StateOwnershipPipeline:
         started = time.time()
         inputs = self._inputs
         config = self._config
-        resilience = self._resilience
-        guard = SourceGuard.from_config(resilience)
+        fail_fast = self._fail_fast
         degraded: Set[InputSource] = set(inputs.degraded)
-        if degraded and resilience.fail_fast:
+        if degraded and fail_fast:
             raise PipelineError(
                 "inputs arrived degraded ("
                 + ", ".join(sorted(s.name for s in degraded))
@@ -371,7 +364,7 @@ class StateOwnershipPipeline:
 
         def quarantine(source: InputSource) -> None:
             """Fold a run-time source failure into the degradation state."""
-            if resilience.fail_fast:
+            if fail_fast:
                 raise PipelineError(f"source {source.name} failed and fail_fast is set")
             metrics = get_metrics()
             metrics.incr("resilience.quarantined")
@@ -384,23 +377,19 @@ class StateOwnershipPipeline:
         with span("pipeline.candidates") as sp_candidates:
             if InputSource.CTI not in skip:
                 try:
-                    cti_selection = guard.call(
-                        "source.cti",
-                        lambda: self._compute_cti(inputs, config, context, cache),
-                    )
-                except (SourceError, ResilienceError):
+                    fault_point("source.cti")
+                    cti_selection = self._compute_cti(inputs, config, context, cache)
+                except SourceError:
                     quarantine(InputSource.CTI)
             orbis_companies: List[Tuple[str, str]] = []
             if InputSource.ORBIS not in skip:
                 try:
-                    orbis_companies = guard.call(
-                        "source.orbis",
-                        lambda: [
-                            (r.company_name, r.cc)
-                            for r in inputs.orbis.state_owned_telcos()
-                        ],
-                    )
-                except (SourceError, ResilienceError):
+                    fault_point("source.orbis")
+                    orbis_companies = [
+                        (r.company_name, r.cc)
+                        for r in inputs.orbis.state_owned_telcos()
+                    ]
+                except SourceError:
                     quarantine(InputSource.ORBIS)
             wiki_fh: List[Tuple[str, str]] = []
             if InputSource.WIKIPEDIA_FH not in skip:
@@ -408,15 +397,11 @@ class StateOwnershipPipeline:
                 # source (code W): if either query fails, the whole feed is
                 # quarantined so the provenance flag is unambiguous.
                 try:
-                    wiki_fh = guard.call(
-                        "source.wikipedia",
-                        lambda: list(inputs.wikipedia.state_owned_company_names()),
-                    )
-                    wiki_fh = wiki_fh + guard.call(
-                        "source.freedomhouse",
-                        lambda: list(inputs.freedomhouse.state_owned_company_names()),
-                    )
-                except (SourceError, ResilienceError):
+                    fault_point("source.wikipedia")
+                    wiki_fh = list(inputs.wikipedia.state_owned_company_names())
+                    fault_point("source.freedomhouse")
+                    wiki_fh += inputs.freedomhouse.state_owned_company_names()
+                except SourceError:
                     wiki_fh = []
                     quarantine(InputSource.WIKIPEDIA_FH)
             candidates = harvest_candidates(
@@ -428,7 +413,6 @@ class StateOwnershipPipeline:
                 wiki_fh_companies=wiki_fh,
                 config=config,
                 skip=frozenset(skip),
-                guard=guard,
             )
             for source in candidates.degraded:
                 quarantine(source)
@@ -605,7 +589,7 @@ class StateOwnershipPipeline:
     ) -> CTISelection:
         """The CTI stage: score transit influence and select candidates.
 
-        Runs under the ``source.cti`` guard site so a mid-computation
+        Runs behind the ``source.cti`` fault site so a mid-computation
         failure (including a quarantined geolocation dependency) degrades
         the CTI feed instead of sinking the run.
         """

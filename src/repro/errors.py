@@ -51,15 +51,11 @@ class SourceError(ReproError):
     """A derived data source could not be built or queried."""
 
 
-class TransientSourceError(SourceError):
-    """A source failed in a way that is expected to heal on retry."""
-
-
-class InjectedFaultError(TransientSourceError):
+class InjectedFaultError(SourceError):
     """A failure injected by the deterministic fault harness.
 
-    Subclasses :class:`TransientSourceError` so that every production code
-    path treats an injected fault exactly like a real source failure.
+    A :class:`SourceError`, so every production code path treats an
+    injected fault exactly like a real source failure.
     """
 
 
@@ -67,36 +63,7 @@ class QuarantinedSourceError(SourceError):
     """A quarantined (degraded) source was queried after giving up on it."""
 
 
-class ResilienceError(ReproError):
-    """Base class for the retry/circuit-breaker machinery's own failures."""
-
-
-class RetryExhaustedError(ResilienceError):
-    """Every attempt allowed by a :class:`RetryPolicy` failed.
-
-    Carries the failing call site, the attempt count, and the last
-    underlying exception (also chained as ``__cause__``).
-    """
-
-    def __init__(self, site: str, attempts: int, cause: BaseException) -> None:
-        super().__init__(
-            f"{site}: all {attempts} attempts failed "
-            f"({type(cause).__name__}: {cause})"
-        )
-        self.site = site
-        self.attempts = attempts
-        self.cause = cause
-
-
-class CircuitOpenError(ResilienceError):
-    """A circuit breaker is open: the call was short-circuited, not run."""
-
-
-class AttemptTimeoutError(ResilienceError, TimeoutError):
-    """One retry attempt exceeded its per-attempt time budget."""
-
-
-class WorkerCrashError(ResilienceError):
+class WorkerCrashError(ReproError):
     """The process pool lost workers more often than the requeue budget."""
 
 

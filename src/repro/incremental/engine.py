@@ -35,12 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.config import (
-    ParallelConfig,
-    PipelineConfig,
-    ResilienceConfig,
-    SourceNoiseConfig,
-)
+from repro.config import ParallelConfig, PipelineConfig, SourceNoiseConfig
 from repro.core.confirmation import ConfirmationVerdict, OwnershipAnalyst
 from repro.core.pipeline import (
     PipelineInputs,
@@ -105,13 +100,13 @@ class IncrementalEngine:
         self,
         config: Optional[PipelineConfig] = None,
         noise: Optional[SourceNoiseConfig] = None,
-        resilience: Optional[ResilienceConfig] = None,
+        fail_fast: bool = False,
         parallel: Optional[ParallelConfig] = None,
         cache: Optional[ResultCache] = None,
     ) -> None:
         self._config = config or PipelineConfig()
         self._noise = noise or SourceNoiseConfig()
-        self._resilience = resilience or ResilienceConfig()
+        self._fail_fast = fail_fast
         self._parallel = parallel or ParallelConfig()
         self._cache = cache
         # -- carried state (None / empty until the first snapshot runs) --
@@ -165,7 +160,7 @@ class IncrementalEngine:
         inputs = PipelineInputs.from_world(
             world,
             noise=self._noise,
-            resilience=self._resilience,
+            fail_fast=self._fail_fast,
             prefix2as=self._prefix2as if prefix_reused else None,
         )
 
@@ -217,7 +212,7 @@ class IncrementalEngine:
             inputs,
             config=self._config,
             parallel=self._parallel,
-            resilience=self._resilience,
+            fail_fast=self._fail_fast,
             context=context,
             cti_computer=cti,
             analyst=analyst,

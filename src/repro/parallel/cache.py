@@ -15,13 +15,11 @@ survive the round-trip exactly: ``json`` serializes them with ``repr``
 (shortest round-trip form), so cached CTI scores are bit-identical to
 freshly computed ones.
 
-Reads and writes run through a :class:`~repro.resilience.retry.RetryPolicy`
-and a shared :class:`~repro.resilience.breaker.CircuitBreaker`: transient
-filesystem errors are retried with deterministic backoff, a persistently
-failing cache stops being consulted (``cache.bypass``) instead of slowing
-every lookup, and a failed write never sinks the run
-(``cache.write_errors``).  The fault-injection sites are ``cache.get``
-(transient/slow/corrupt/truncate) and ``cache.put`` (transient/slow).
+Nothing is retried: a read that fails (``OSError``, bytes that are not
+UTF-8, an injected ``fatal`` fault) is a miss, and the entry, if one
+exists, is evicted like a corrupt one; a failed write is counted
+(``cache.write_errors``) and never sinks the run.  The fault-injection
+sites are ``cache.get`` (fatal/corrupt) and ``cache.put`` (fatal).
 
 Hits and misses are counted in the process-global metrics registry as
 ``cache.hits`` / ``cache.misses`` / ``cache.writes``, and traffic volume
@@ -33,9 +31,8 @@ that are not JSON-friendly — notably the pickled generated world, keyed by
 :func:`repro.world.worldcache.world_cache_key`, which lets a warm
 ``run``/``report``/``validate`` skip world generation entirely.  Blobs
 carry a magic header plus a SHA-256 digest of the payload; any mismatch
-(truncation, bit rot, injected ``corrupt``/``truncate`` faults) is
-treated as a miss and the entry evicted, exactly like a corrupt JSON
-entry.
+(truncation, bit rot) is treated as a miss and the entry evicted, exactly
+like a corrupt JSON entry.
 """
 
 from __future__ import annotations
@@ -47,12 +44,10 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
-from repro.errors import ResilienceError
+from repro.errors import SourceError
 from repro.io.atomic import atomic_replace
 from repro.obs import get_metrics
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import fault_point, mangle_text
-from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "ResultCache",
@@ -116,29 +111,16 @@ def resolve_cache_dir(env: Optional[Mapping[str, str]] = None) -> Optional[Path]
     return Path.home() / ".cache" / "repro"
 
 
-#: Retry posture for cache I/O: one quick retry, tiny backoff.  The cache
-#: is an optimization — it must never dominate the latency of a miss.
-_CACHE_POLICY = RetryPolicy(
-    max_attempts=2,
-    base_delay=0.01,
-    max_delay=0.05,
-)
+#: What a failed cache read or write raises: a filesystem error, bytes that
+#: are not UTF-8, or an injected ``fatal`` fault.
+_IO_ERRORS = (OSError, UnicodeDecodeError, SourceError)
 
 
 class ResultCache:
     """A tiny content-addressed JSON store: ``<root>/<section>/<key>.json``."""
 
-    def __init__(
-        self,
-        root: Union[str, Path],
-        policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
-    ) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self._root = Path(root).expanduser()
-        self._policy = policy or _CACHE_POLICY
-        self._breaker = breaker or CircuitBreaker(
-            name="cache", failure_threshold=8, reset_timeout=60.0
-        )
 
     @property
     def root(self) -> Path:
@@ -172,29 +154,24 @@ class ResultCache:
         except OSError:  # pragma: no cover - best-effort eviction
             pass
 
+    def _unreadable(self, path: Path) -> None:
+        """A read that failed: a miss, and an existing entry is evicted."""
+        get_metrics().incr("cache.misses")
+        if path.exists():
+            self._evict_corrupt(path)
+
     def get(self, section: str, key: str) -> Optional[Dict[str, Any]]:
         """The cached payload, or None (counted as a miss) if absent/corrupt.
 
         An entry that exists but cannot be read or parsed is evicted and
-        counted as ``cache.corrupt`` on top of the miss; a cache whose
-        breaker is open is bypassed entirely (``cache.bypass``).
+        counted as ``cache.corrupt`` on top of the miss.
         """
         metrics = get_metrics()
         path = self._path(section, key)
         try:
-            text = self._policy.call(
-                lambda: self._read_text(path),
-                site="cache.get",
-                breaker=self._breaker,
-            )
-        except ResilienceError:
-            # Breaker open, or the read kept failing: an unreadable entry
-            # is a miss, and one that exists on disk is evicted.
-            metrics.incr("cache.bypass")
-            metrics.incr("cache.misses")
-            if path.exists():
-                self._evict_corrupt(path)
-            return None
+            text = self._read_text(path)
+        except _IO_ERRORS:
+            return self._unreadable(path)
         if text is None:
             metrics.incr("cache.misses")
             return None
@@ -214,23 +191,18 @@ class ResultCache:
     def put(self, section: str, key: str, payload: Dict[str, Any]) -> None:
         """Store ``payload`` atomically; never corrupts an existing entry.
 
-        A cache write is an optimization, not an obligation: persistent
-        failures are counted (``cache.write_errors``) and swallowed.
+        A cache write is an optimization, not an obligation: a failed
+        write is counted (``cache.write_errors``) and swallowed.
         """
-
         text = json.dumps(payload, sort_keys=True)
-
-        def write() -> None:
+        path = self._path(section, key)
+        try:
             fault_point("cache.put")
-            path = self._path(section, key)
             path.parent.mkdir(parents=True, exist_ok=True)
             with atomic_replace(path) as tmp_path:
                 with open(tmp_path, "w", encoding="utf-8") as handle:
                     handle.write(text)
-
-        try:
-            self._policy.call(write, site="cache.put", breaker=self._breaker)
-        except ResilienceError:
+        except _IO_ERRORS:
             get_metrics().incr("cache.write_errors")
             return
         metrics = get_metrics()
@@ -258,17 +230,9 @@ class ResultCache:
         metrics = get_metrics()
         path = self._blob_path(section, key)
         try:
-            raw = self._policy.call(
-                lambda: self._read_bytes(path),
-                site="cache.get",
-                breaker=self._breaker,
-            )
-        except ResilienceError:
-            metrics.incr("cache.bypass")
-            metrics.incr("cache.misses")
-            if path.exists():
-                self._evict_corrupt(path)
-            return None
+            raw = self._read_bytes(path)
+        except _IO_ERRORS:
+            return self._unreadable(path)
         if raw is None:
             metrics.incr("cache.misses")
             return None
@@ -289,18 +253,14 @@ class ResultCache:
     def put_blob(self, section: str, key: str, payload: bytes) -> None:
         """Store an opaque blob atomically with an integrity digest."""
         data = _BLOB_MAGIC + hashlib.sha256(payload).digest() + payload
-
-        def write() -> None:
+        path = self._blob_path(section, key)
+        try:
             fault_point("cache.put")
-            path = self._blob_path(section, key)
             path.parent.mkdir(parents=True, exist_ok=True)
             with atomic_replace(path) as tmp_path:
                 with open(tmp_path, "wb") as handle:
                     handle.write(data)
-
-        try:
-            self._policy.call(write, site="cache.put", breaker=self._breaker)
-        except ResilienceError:
+        except _IO_ERRORS:
             get_metrics().incr("cache.write_errors")
             return
         metrics = get_metrics()

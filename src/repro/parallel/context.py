@@ -48,7 +48,6 @@ from typing import Callable, List, Mapping, Optional, Sequence, TypeVar
 from repro.errors import ConfigError, invalid_jobs
 from repro.obs import get_metrics, span
 from repro.parallel.runtime import StateHandle, WorkerRuntime
-from repro.resilience.faults import worker_fault_point
 
 __all__ = ["BACKENDS", "ExecutionContext"]
 
@@ -172,11 +171,7 @@ class ExecutionContext:
                     if isinstance(state, StateHandle)
                     else state
                 )
-                results = []
-                for item in items:
-                    worker_fault_point(site, 0)
-                    results.append(fn(local_state, item))
-                return results
+                return [fn(local_state, item) for item in items]
             # Process backend: reference state by handle (shipped once per
             # run), then stream items in chunks big enough to amortize the
             # IPC round-trips.

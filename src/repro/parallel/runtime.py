@@ -283,8 +283,10 @@ class WorkerRuntime:
         if not pending:
             return
         blob, _ = self._ship_blob(pending)
-        futures = [self._pool.submit(_install_states, blob) for _ in range(self.jobs)]
         try:
+            futures = [
+                self._pool.submit(_install_states, blob) for _ in range(self.jobs)
+            ]
             ok = all(future.result(timeout=_SYNC_TIMEOUT * 2) for future in futures)
         except (BrokenProcessPool, FuturesTimeoutError, OSError):
             ok = False
@@ -356,26 +358,32 @@ class WorkerRuntime:
         restarts = 0
         while pending:
             pool = self._ensure_process_pool()
-            futures = {
-                pool.submit(
-                    _run_chunk,
-                    (index, attempt, fn, state_ref, site, chunks[index]),
-                ): (index, attempt)
-                for index, attempt in pending
-            }
+            futures = {}
             requeue: List[Tuple[int, int]] = []
-            broken = False
+            for index, attempt in pending:
+                try:
+                    future = pool.submit(
+                        _run_chunk,
+                        (index, attempt, fn, state_ref, site, chunks[index]),
+                    )
+                except BrokenProcessPool:
+                    # A worker died while chunks were still being queued.
+                    requeue.append((index, attempt + 1))
+                else:
+                    futures[future] = (index, attempt)
             for future in as_completed(futures):
                 index, attempt = futures[future]
                 try:
                     chunk_index, chunk_results = future.result()
                 except BrokenProcessPool:
-                    broken = True
                     requeue.append((index, attempt + 1))
-                    metrics.incr("parallel.requeued_tasks", len(chunks[index]))
                 else:
                     results_by_chunk[chunk_index] = chunk_results
-            if broken:
+            if requeue:
+                metrics.incr(
+                    "parallel.requeued_tasks",
+                    sum(len(chunks[index]) for index, _ in requeue),
+                )
                 restarts += 1
                 metrics.incr("parallel.pool_restarts")
                 sp.incr("pool_restarts")

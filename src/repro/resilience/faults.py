@@ -3,22 +3,17 @@
 A :class:`FaultPlan` maps *call sites* (dotted names such as
 ``source.orbis``, ``cache.get``, ``worker.confirmation``) to fault kinds:
 
-``transient[:n]``
-    the first *n* calls (default 1) raise
-    :class:`~repro.errors.InjectedFaultError`, later calls succeed —
-    exercises retry/backoff;
 ``fatal``
-    every call raises — exercises quarantine / graceful degradation;
-``slow[:seconds]``
-    every call sleeps (default 0.05 s) — exercises per-attempt timeouts;
-``corrupt[:p]`` / ``truncate[:p]``
-    payload text passing through :func:`mangle_text` is garbled/truncated
-    with probability *p* (default 1.0), drawn from a per-call seeded RNG —
-    exercises corrupt-record and truncated-file handling;
+    every call raises :class:`~repro.errors.InjectedFaultError` —
+    exercises quarantine / graceful degradation;
+``corrupt[:p]``
+    payload text passing through :func:`mangle_text` is garbled with
+    probability *p* (default 1.0), drawn from a per-call seeded RNG —
+    exercises corrupt-record handling;
 ``crash[:n]``
     the first *n* eligible calls inside a **worker process** terminate it
     with ``os._exit`` — exercises pool requeue.  A no-op in the parent
-    process and on first-retry replays (``attempt > 0``), so one plan
+    process and on requeued deliveries (``attempt > 0``), so one plan
     cannot crash-loop a run.
 
 Plans are parsed from a compact spec (``REPRO_FAULTS`` /
@@ -26,13 +21,14 @@ Plans are parsed from a compact spec (``REPRO_FAULTS`` /
 
     seed=42;source.orbis=fatal;cache.get=corrupt:0.5;worker.confirmation=crash
 
-Sites accept ``fnmatch`` globs (``source.*=transient:2``).  All randomness
+Sites accept ``fnmatch`` globs (``source.*=fatal``).  All randomness
 derives from the plan seed plus the per-site call counter, so the same plan
 over the same run produces the same faults, logs and metrics every time.
 
 The active plan is process-global.  :func:`get_fault_plan` lazily parses
 ``REPRO_FAULTS`` from the environment, which is how worker processes of a
-process pool inherit the plan without any extra plumbing.
+process pool inherit the plan without any extra plumbing;
+:func:`fault_plan_installed` scopes a plan to one block.
 """
 
 from __future__ import annotations
@@ -42,9 +38,9 @@ import multiprocessing
 import os
 import random
 import threading
-import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import ConfigError, InjectedFaultError
 from repro.obs import get_metrics
@@ -57,22 +53,16 @@ __all__ = [
     "get_fault_plan",
     "install_fault_plan",
     "clear_fault_plan",
+    "fault_plan_installed",
     "fault_point",
     "mangle_text",
     "worker_fault_point",
 ]
 
-FAULT_KINDS = ("transient", "fatal", "slow", "corrupt", "truncate", "crash")
+FAULT_KINDS = ("fatal", "corrupt", "crash")
 
 #: Default parameter per kind (see the kind table in the module docstring).
-_DEFAULT_PARAM = {
-    "transient": 1.0,
-    "fatal": 0.0,
-    "slow": 0.05,
-    "corrupt": 1.0,
-    "truncate": 1.0,
-    "crash": 1.0,
-}
+_DEFAULT_PARAM = {"fatal": 0.0, "corrupt": 1.0, "crash": 1.0}
 
 
 @dataclass(frozen=True)
@@ -165,40 +155,17 @@ class FaultPlan:
     def _matching(self, site: str) -> Tuple[FaultSpec, ...]:
         return tuple(spec for spec in self.specs if spec.matches(site))
 
-    def call_count(self, site: str) -> int:
-        with self._lock:
-            return self._calls.get(site, 0)
-
     # -- fault application -------------------------------------------------
-    def before(self, site: str, sleep: Callable[[float], None] = time.sleep) -> None:
-        """Apply transient/fatal/slow faults for one call at ``site``."""
-        specs = self._matching(site)
-        if not specs:
-            return
-        count = self._next_call(site)
-        for spec in specs:
-            if spec.kind == "slow":
-                get_metrics().incr("resilience.faults.slow")
-                sleep(spec.param)
-            elif spec.kind == "fatal":
-                get_metrics().incr("resilience.faults.injected")
-                raise InjectedFaultError(
-                    f"injected fatal fault at {site} (call #{count})"
-                )
-            elif spec.kind == "transient" and count < spec.param:
-                get_metrics().incr("resilience.faults.injected")
-                raise InjectedFaultError(
-                    f"injected transient fault at {site} "
-                    f"(call #{count} of {spec.param:g})"
-                )
+    def before(self, site: str) -> None:
+        """Apply fatal faults for one call at ``site``."""
+        if any(spec.kind == "fatal" for spec in self._matching(site)):
+            count = self._next_call(site)
+            get_metrics().incr("resilience.faults.injected")
+            raise InjectedFaultError(f"injected fatal fault at {site} (call #{count})")
 
     def mangle(self, site: str, text: str) -> str:
-        """Apply corrupt/truncate faults to payload text read at ``site``."""
-        specs = [
-            spec
-            for spec in self._matching(site)
-            if spec.kind in ("corrupt", "truncate")
-        ]
+        """Apply corrupt faults to payload text read at ``site``."""
+        specs = [spec for spec in self._matching(site) if spec.kind == "corrupt"]
         if not specs or not text:
             return text
         count = self._next_call(f"{site}#payload")
@@ -207,11 +174,8 @@ class FaultPlan:
             if rng.random() >= spec.param:
                 continue
             get_metrics().incr("resilience.faults.mangled")
-            if spec.kind == "truncate":
-                text = text[: rng.randrange(len(text))]
-            else:
-                cut = rng.randrange(len(text))
-                text = text[:cut] + "\x00garbage\x00" + text[cut + 1 :]
+            cut = rng.randrange(len(text))
+            text = text[:cut] + "\x00garbage\x00" + text[cut + 1 :]
         return text
 
     def crash_due(self, site: str, attempt: int) -> bool:
@@ -263,6 +227,35 @@ def clear_fault_plan() -> None:
         _RESOLVED = False
 
 
+@contextmanager
+def fault_plan_installed(plan: Optional[FaultPlan]) -> Iterator[None]:
+    """Activate ``plan`` for the enclosed block, then restore what was there.
+
+    The plan is exported through ``REPRO_FAULTS`` as well, so process-pool
+    workers started inside the block replay the same seeded faults as the
+    coordinator.  On exit both the previous plan and the previous
+    ``REPRO_FAULTS`` value come back, so a plan never leaks into later
+    work in the same process.  ``None`` leaves the active plan untouched.
+    """
+    if plan is None:
+        yield
+        return
+    global _ACTIVE, _RESOLVED
+    with _RESOLVE_LOCK:
+        saved = (_ACTIVE, _RESOLVED, os.environ.get("REPRO_FAULTS"))
+        _ACTIVE, _RESOLVED = plan, True
+        os.environ["REPRO_FAULTS"] = plan.as_text()
+    try:
+        yield
+    finally:
+        with _RESOLVE_LOCK:
+            _ACTIVE, _RESOLVED, env = saved
+            if env is None:
+                os.environ.pop("REPRO_FAULTS", None)
+            else:
+                os.environ["REPRO_FAULTS"] = env
+
+
 def fault_point(site: str) -> None:
     """Hook placed at an I/O boundary; no-op unless a plan is active."""
     plan = get_fault_plan()
@@ -279,17 +272,16 @@ def mangle_text(site: str, text: str) -> str:
 
 
 def worker_fault_point(site: str, attempt: int) -> None:
-    """Hook run before each work item inside an execution backend.
+    """Hook run before each work item inside a pool worker.
 
-    Applies slow faults everywhere; crash faults only inside a real worker
-    process (never the coordinator) and only on first delivery
-    (``attempt == 0``), so requeued work is guaranteed to make progress.
+    Crash faults fire only inside a real worker process (never the
+    coordinator) and only on first delivery (``attempt == 0``), so
+    requeued work is guaranteed to make progress.
     """
     plan = get_fault_plan()
-    if plan is None:
-        return
-    for spec in plan._matching(site):
-        if spec.kind == "slow":
-            time.sleep(spec.param)
-    if (multiprocessing.parent_process() is not None and plan.crash_due(site, attempt)):
+    if (
+        plan is not None
+        and multiprocessing.parent_process() is not None
+        and plan.crash_due(site, attempt)
+    ):
         os._exit(3)

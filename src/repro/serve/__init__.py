@@ -6,10 +6,9 @@ Three layers, each usable alone:
   read-optimized indices (asn -> org, cc -> orgs, sorted CTI rankings,
   content digests) built from one exported snapshot;
 * :mod:`repro.serve.store` — :class:`SnapshotStore`, the hot-swap holder:
-  polls the export for changes, rebuilds the index off the serving path
-  under the resilience guard, and atomically flips one immutable
-  reference (a corrupt half-written snapshot degrades to the previous
-  one, never crashes the server);
+  polls the export for changes, rebuilds the index off the serving path,
+  and atomically flips one immutable reference (a snapshot that fails to
+  load degrades to the previous one, never crashes the server);
 * :mod:`repro.serve.http` / :mod:`repro.serve.app` —
   :class:`QueryServer`, the stdlib asyncio HTTP/JSON API, plus
   :class:`ServerThread` / :func:`run_server` embedding helpers.

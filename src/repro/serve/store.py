@@ -10,12 +10,12 @@ The swap protocol has three invariants:
    (read, digest, parse, index) on whatever thread calls it — the server
    runs it in an executor — and only then flips the reference.
 3. **Degrade, never crash.**  A reload that fails for any reason (the
-   file vanished, a half-written or corrupt snapshot, a transient read
-   error) keeps serving the previous index, records the failure
-   (``serve.reload.failures`` plus ``last_error``), and retries when the
-   file changes again.  Reload runs under the PR 4
-   :class:`~repro.resilience.SourceGuard` (site ``serve.reload``), so
-   transient faults are retried with backoff before the store degrades.
+   file vanished, a corrupt snapshot, an injected fault at site
+   ``serve.reload``) keeps serving the previous index, records the
+   failure (``serve.reload.failures`` plus ``last_error``), and tries
+   again only when the file changes.  Nothing is retried in between:
+   the writer renames complete files into place, so a reload never
+   reads a torn one.
 
 The swap point is :func:`repro.io.atomic.atomic_replace`: because every
 exporter promotes finished files with fsync + rename, a *new* mtime/size
@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro.errors import ReproError
 from repro.obs import get_metrics, get_sink
-from repro.resilience import RetryPolicy, SourceGuard
+from repro.resilience import fault_point
 from repro.serve.index import SnapshotIndex, build_index
 
 __all__ = ["SnapshotStore"]
@@ -45,7 +45,6 @@ class SnapshotStore:
         self,
         path: Union[str, Path],
         cti_path: Optional[Union[str, Path]] = None,
-        guard: Optional[SourceGuard] = None,
     ) -> None:
         self._path = Path(path)
         # An explicit sidecar path is honored verbatim; otherwise the
@@ -54,9 +53,6 @@ class SnapshotStore:
         # cycle drops in *after* startup is picked up by the next swap.
         self._explicit_cti = cti_path is not None
         self._cti_path = Path(cti_path) if cti_path is not None else None
-        self._guard = guard or SourceGuard(
-            policy=RetryPolicy(max_attempts=3, base_delay=0.05, max_delay=0.5)
-        )
         self._lock = threading.Lock()
         self._current: Optional[SnapshotIndex] = None
         self._previous: Optional[SnapshotIndex] = None
@@ -104,9 +100,8 @@ class SnapshotStore:
         if not self._explicit_cti:
             candidate = self._path.with_suffix(self._path.suffix + ".cti.json")
             cti_path = candidate if candidate.exists() else None
-        return self._guard.call(
-            "serve.reload", lambda: build_index(self._path, cti_path)
-        )
+        fault_point("serve.reload")
+        return build_index(self._path, cti_path)
 
     def poll(self) -> bool:
         """Reload if the snapshot file changed; True when a swap happened.

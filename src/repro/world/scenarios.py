@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import WorldError
 from repro.net.routing import RoutingPolicy
 from repro.net.topology import ASGraph
-from repro.resilience import FaultPlan, install_fault_plan
+from repro.resilience import FaultPlan, fault_plan_installed
 from repro.rng import derive_seed
 from repro.world.events import privatize_operator
 
@@ -766,12 +766,8 @@ def run_scenario_packs(
         clone = _clone_world(world)
         pack.apply(clone, plan, rng)
         fault = FaultPlan.parse(pack.fault_plan) if pack.fault_plan else None
-        install_fault_plan(fault)
-        try:
+        with fault_plan_installed(fault):
             inputs, result = _run_pipeline(clone, context=context)
-        finally:
-            if fault is not None:
-                install_fault_plan(None)
         perturbed = _metric_bundle(clone, inputs, result, focus)
         perturbed.update(pack.extra_metrics(clone, plan))
 

@@ -172,6 +172,31 @@ class TestCrashRequeueOnReusedPool:
         # The respawn after the crash is the only extra pool.
         assert metrics.counter("parallel.pool_spawns") - spawns >= 1
 
+    def test_pool_breaking_mid_submission_requeues(self, monkeypatch):
+        # A worker can die while later chunks are still being queued, and
+        # then ``submit`` itself raises: those chunks are requeued too.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        real_submit = ProcessPoolExecutor.submit
+        chunk_submits = []
+
+        def breaking_submit(self, fn, *args, **kwargs):
+            if fn.__name__ == "_run_chunk":
+                chunk_submits.append(fn)
+                if len(chunk_submits) == 3:
+                    raise BrokenProcessPool("worker died during submission")
+            return real_submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking_submit)
+        restarts = get_metrics().counter("parallel.pool_restarts")
+        with ExecutionContext(jobs=2) as context:
+            results = context.map_ordered(
+                _square, list(range(12)), label="queued", chunksize=2
+            )
+        assert results == [i * i for i in range(12)]
+        assert get_metrics().counter("parallel.pool_restarts") == restarts + 1
+
 
 # -- tentpole: parallel world generation is bit-identical -------------------
 def _world_snapshot(world: World) -> dict:
